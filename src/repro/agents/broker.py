@@ -124,8 +124,7 @@ class BrokerAgent(Agent):
         # for until-match searches is the CORBA-trader-style alternative,
         # opt-in (see benchmarks/test_ablation_sequential_probe.py).
         sequential_until_match: bool = False,
-        matching_engine: str = "direct",
-        repository_index_mode: str = "full",
+        matching_engine: str = "columnar",
         match_cache_size: Optional[int] = None,
         # Persistent repository storage: None keeps advertisements
         # resident in dicts; a path (or ":memory:") stores them in
@@ -135,7 +134,7 @@ class BrokerAgent(Agent):
         # concurrent recommend-* requests buffer briefly and are
         # answered in one repository pass — queries sharing a
         # fingerprint prefix coalesce into a single columnar posting
-        # intersection, the rest at least share one warm cache/plane.
+        # intersection, the rest at least share one warm cache.
         # None (the default) answers every request immediately.
         recommend_batch_window: Optional[float] = None,
         pull_broker_directory: bool = False,
@@ -190,7 +189,6 @@ class BrokerAgent(Agent):
         self.repository = BrokerRepository(
             context,
             engine=matching_engine,
-            index_mode=repository_index_mode,
             match_cache_size=(
                 DEFAULT_MATCH_CACHE_SIZE if match_cache_size is None
                 else match_cache_size
@@ -669,13 +667,11 @@ class BrokerAgent(Agent):
         """Answer every buffered recommend in one repository pass.
 
         The shared pass (:meth:`BrokerRepository.query_batch`) warms the
-        fingerprint-keyed match cache — columnar misses share one plane
-        and queries with equal posting prefixes share one bitset
-        intersection — after which each request runs the normal
-        :meth:`_recommend` flow (forwarding policy, forensics, replies)
-        and finds its answer already cached.  Needs ``match_cache_size >
-        0`` to actually coalesce; with the cache disabled batching only
-        shares the plane build.
+        fingerprint-keyed match cache — queries with equal posting
+        prefixes share one bitset intersection — after which each
+        request runs the normal :meth:`_recommend` flow (forwarding
+        policy, forensics, replies) and finds its answer already cached.
+        Needs ``match_cache_size > 0`` to coalesce anything.
         """
         self._batch_armed = False
         buffered = self._recommend_buffer

@@ -1,8 +1,8 @@
 """Compilation hooks: constraint domains -> specialized overlap checkers.
 
 The columnar matchmaking plane (:mod:`repro.core.columnar`) evaluates
-one advertised domain against *many* query domains over the life of a
-compiled generation.  Deciding the domain's shape (interval set /
+one advertised domain against *many* query domains for as long as it
+stays advertised.  Deciding the domain's shape (interval set /
 discrete set / complement) on every probe is wasted work, so this module
 compiles each domain **once** into a closure specialized on its kind:
 
@@ -40,23 +40,37 @@ _INF = float("inf")
 SimpleInterval = Tuple[float, float, bool, bool]
 
 
+def _endpoint(value, unbounded: float) -> Optional[float]:
+    """An interval endpoint as a float (*unbounded* for an open end), or
+    None when it is not a number a float holds exactly — rounding an
+    integer above 2**53 would move the endpoint and change the answer."""
+    if value is None:
+        return unbounded
+    if not _is_number(value):
+        return None
+    try:
+        as_float = float(value)
+    except OverflowError:  # an integer beyond the float range
+        return None
+    return as_float if as_float == value else None
+
+
 def simple_numeric_interval(domain: Domain) -> Optional[SimpleInterval]:
     """*domain* as one numeric interval, or None when it isn't one.
 
     These are the domains the columnar plane stores in parallel
     ``array('d')`` lo/hi columns; string- and bool-valued intervals,
-    multi-interval sets, discrete sets and complements all stay out of
-    the arrays and keep their compiled checkers.
+    multi-interval sets, discrete sets, complements and intervals with
+    an endpoint no float represents exactly all stay out of the arrays
+    and keep their compiled (exact) checkers.
     """
     if not isinstance(domain, IntervalSet) or len(domain.intervals) != 1:
         return None
     iv = domain.intervals[0]
-    if iv.lo is not None and not _is_number(iv.lo):
+    lo = _endpoint(iv.lo, -_INF)
+    hi = _endpoint(iv.hi, _INF)
+    if lo is None or hi is None:
         return None
-    if iv.hi is not None and not _is_number(iv.hi):
-        return None
-    lo = -_INF if iv.lo is None else float(iv.lo)
-    hi = _INF if iv.hi is None else float(iv.hi)
     return (lo, hi, iv.lo_open, iv.hi_open)
 
 

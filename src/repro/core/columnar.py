@@ -1,19 +1,19 @@
-"""The columnar matchmaking plane: vectorized query evaluation.
+"""The columnar matchmaking plane: vectorized query evaluation over
+columns that are maintained in place.
 
 The direct matcher (:mod:`repro.core.matcher`) is a per-advertisement
 predicate walk — correct, explainable, and O(ads) Python bytecode per
-query.  This module compiles a repository generation into a **columnar
-plane** so a query is answered in three vectorized passes instead:
+query.  The plane answers the same query in three vectorized passes:
 
 1. **Posting intersection.**  Every indexable dimension (agent type,
    languages, conversations, capability names, ontology, classes, slots,
-   mobility) becomes a bitset posting list: one Python ``int`` whose bit
-   *i* says "advertisement *i* passes this dimension value".  Closure
+   mobility) is a bitset posting list: one Python ``int`` whose bit *i*
+   says "advertisement *i* passes this dimension value".  Closure
    expansion (capability cover sets, ontology is-a closures) happens
    per *query*, by OR-ing the posting bitsets of the closure members —
-   the plane itself stores only exact names and stays ontology-version
-   independent.  A query ANDs the bitsets of the dimensions it
-   constrains; everything else never allocates per-ad work.
+   the plane stores only exact names, so an ontology or hierarchy
+   change never touches it.  A query ANDs the bitsets of the dimensions
+   it constrains; everything else never allocates per-ad work.
 2. **Interval sweep.**  Advertised constraint domains that are a single
    numeric interval live in parallel ``array('d')`` lo/hi columns (with
    ``±inf`` for the open ends) plus per-ad open-endpoint flag bytes; a
@@ -22,30 +22,43 @@ plane** so a query is answered in three vectorized passes instead:
    ids come from :func:`_bit_indices` — a chunked walk that costs
    O(ads/64 + survivors), not the O(survivors x ads) of repeated
    lowest-bit extraction on one huge int.
-3. **Residual checkers.**  Every remaining advertised domain is grouped
-   by its canonical :func:`~repro.constraints.domains.domain_key` and
+3. **Residual checkers.**  Every advertised domain is also grouped by
+   its canonical :func:`~repro.constraints.domains.domain_key` and
    compiled once (:func:`~repro.constraints.compile
-   .compile_overlap_checker`); each distinct domain is probed **once
-   per query** and its verdict applied to the whole group's bitset.
+   .compile_overlap_checker`); when the arrays cannot answer, each
+   distinct domain is probed **once per query** and its verdict applied
+   to the whole group.
+
+**In-place maintenance.**  :meth:`ColumnarPlane.add` and
+:meth:`ColumnarPlane.remove` touch only the postings, column cells and
+domain groups the one advertisement occupies — there is no plane
+generation and nothing is ever recompiled.  Advertisement ids are
+stable: a removed id goes on a free list and the next ``add`` reuses
+it, so under churn the bitsets never grow past the peak live
+population.  Columns grow by append.  Domain groups keep their members
+as id *sets* (O(1) removal, memory proportional to the ads, not to
+groups x ads) and materialize a dense bitset only once a query actually
+probes the group.
 
 Survivors of all three passes are exactly the advertisements the direct
-matcher accepts (the equivalence property tests in
-``tests/test_columnar.py`` and ``tests/test_matchmaking_equivalence.py``
-assert ranked-identical output); they are then scored and ranked by the
-same :func:`~repro.core.scoring.score_match` the scan uses, so scores —
-not just match sets — are identical.
+matcher accepts (``tests/test_columnar.py``,
+``tests/test_matchmaking_equivalence.py`` and the stateful machine in
+``tests/test_repository_index.py`` assert ranked-identical output);
+they are scored and ranked by the same
+:func:`~repro.core.scoring.score_match` the scan uses, so scores — not
+just match sets — are identical.
 
 Explain mode is *not* served here: a verdict trail needs one verdict
 per advertisement with the canonical reject reason, which is precisely
 the per-ad walk this plane exists to skip.  The repository routes
-explain-mode queries through the scan path instead (see
+explain-mode queries through the scan instead (see
 ``BrokerRepository._query_explained``).
 """
 
 from __future__ import annotations
 
 from array import array
-from typing import Callable, Dict, Iterable, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.constraints.compile import (
     compile_overlap_checker,
@@ -84,20 +97,37 @@ def _bit_indices(mask: int) -> List[int]:
     return out
 
 
-def _mask_from_indices(indices: List[int]) -> int:
+def _mask_from_indices(indices: Iterable[int], top: int) -> int:
     """Inverse of :func:`_bit_indices`: OR-free mask reassembly in
-    O(max_index/8 + len(indices)) via a byte buffer."""
-    if not indices:
-        return 0
-    buffer = bytearray((indices[-1] >> 3) + 1)
+    O(top/8 + len(indices)) via a byte buffer; *top* is any bound on
+    the largest index."""
+    buffer = bytearray((top >> 3) + 1)
     for i in indices:
         buffer[i >> 3] |= 1 << (i & 7)
     return int.from_bytes(buffer, "little")
 
 
+class _DomainGroup:
+    """The ads advertising one canonical domain on one slot."""
+
+    __slots__ = ("checker", "ids", "mask")
+
+    def __init__(self, domain: Domain):
+        self.checker = compile_overlap_checker(domain)
+        self.ids: Set[int] = set()
+        #: Dense bitset of ``ids`` — None until a query probes the
+        #: group, maintained in place from then on.
+        self.mask: Optional[int] = None
+
+    def bitset(self) -> int:
+        if self.mask is None:
+            self.mask = _mask_from_indices(self.ids, max(self.ids))
+        return self.mask
+
+
 class _SlotColumn:
     """Per-slot constraint columns: which ads restrict the slot, their
-    simple-interval arrays, and compiled checkers for the rest."""
+    simple-interval arrays, and compiled checkers per distinct domain."""
 
     __slots__ = (
         "restricted_mask", "simple_mask", "lo", "hi",
@@ -108,28 +138,32 @@ class _SlotColumn:
     _LO_OPEN = 1
     _HI_OPEN = 2
 
-    def __init__(self, n: int):
+    def __init__(self):
         #: Ads restricting this slot at all (others pass vacuously).
         self.restricted_mask = 0
         #: Ads whose domain is one numeric interval (array-resident).
         self.simple_mask = 0
-        self.lo = array("d", bytes(8 * n))
-        self.hi = array("d", bytes(8 * n))
+        self.lo = array("d")
+        self.hi = array("d")
         #: Per-ad open-endpoint flags — a byte per ad, not a bitmask,
         #: so the sweep reads them in O(1) per survivor.
-        self.open_flags = bytearray(n)
-        #: domain_key -> [mask, checker] for non-simple domains.
-        self.groups: Dict[object, list] = {}
-        #: domain_key -> [mask, checker] for simple domains — probed
-        #: when the *query* domain is not a simple interval and the
-        #: arrays cannot answer.
-        self.simple_groups: Dict[object, list] = {}
+        self.open_flags = bytearray()
+        #: domain_key -> group, for non-simple domains.
+        self.groups: Dict[object, _DomainGroup] = {}
+        #: domain_key -> group, for simple domains — probed when the
+        #: *query* domain is not a simple interval and the arrays
+        #: cannot answer.
+        self.simple_groups: Dict[object, _DomainGroup] = {}
 
-    def add(self, ad_id: int, domain: Domain) -> None:
-        bit = 1 << ad_id
+    def add(self, ad_id: int, bit: int, domain: Domain) -> None:
         self.restricted_mask |= bit
         simple = simple_numeric_interval(domain)
         if simple is not None:
+            short = ad_id + 1 - len(self.lo)
+            if short > 0:
+                self.lo.frombytes(bytes(8 * short))
+                self.hi.frombytes(bytes(8 * short))
+                self.open_flags.extend(bytes(short))
             lo, hi, lo_open, hi_open = simple
             self.simple_mask |= bit
             self.lo[ad_id] = lo
@@ -142,20 +176,40 @@ class _SlotColumn:
         else:
             groups = self.groups
         key = domain_key(domain)
-        entry = groups.get(key)
-        if entry is None:
-            groups[key] = [bit, compile_overlap_checker(domain)]
+        group = groups.get(key)
+        if group is None:
+            group = groups[key] = _DomainGroup(domain)
+        group.ids.add(ad_id)
+        if group.mask is not None:
+            group.mask |= bit
+
+    def remove(self, ad_id: int, bit: int, keep: int, domain: Domain) -> None:
+        """Undo :meth:`add`; *keep* is ``~bit`` (the caller has it)."""
+        self.restricted_mask &= keep
+        if self.simple_mask & bit:
+            self.simple_mask &= keep
+            groups = self.simple_groups
         else:
-            entry[0] |= bit
+            groups = self.groups
+        key = domain_key(domain)
+        group = groups[key]
+        group.ids.discard(ad_id)
+        if not group.ids:
+            del groups[key]
+        elif group.mask is not None:
+            group.mask &= keep
 
     def overlap_mask(self, query_domain: Domain, live: int) -> int:
         """Bits of *live* (all restricted here) whose advertised domain
         overlaps *query_domain*."""
         passing = 0
-        query_simple = simple_numeric_interval(query_domain)
         simple_live = live & self.simple_mask
+        probed = [self.groups] if live != simple_live else []
         if simple_live:
-            if query_simple is not None:
+            query_simple = simple_numeric_interval(query_domain)
+            if query_simple is None:
+                probed.append(self.simple_groups)
+            else:
                 # Inlined intervals_overlap() with the ad interval on
                 # the left: a call + tuple per survivor costs more than
                 # the two comparisons it wraps.
@@ -172,37 +226,36 @@ class _SlotColumn:
                     if qhi == ad_lo and (qhi_open or flags[i] & 1):
                         continue
                     hits.append(i)
-                passing |= _mask_from_indices(hits)
-            else:
-                for mask, checker in self.simple_groups.values():
-                    group_live = simple_live & mask
-                    if group_live and checker(query_domain):
-                        passing |= group_live
-        other_live = live & ~self.simple_mask
-        if other_live:
-            for mask, checker in self.groups.values():
-                group_live = other_live & mask
-                if group_live and checker(query_domain):
-                    passing |= group_live
+                if hits:
+                    passing = _mask_from_indices(hits, hits[-1])
+        for groups in probed:
+            for group in groups.values():
+                if group.checker(query_domain):
+                    passing |= group.bitset() & live
         return passing
 
 
 class ColumnarPlane:
-    """One compiled repository generation.
+    """The live columns of one repository.
 
-    Build with :meth:`compile`; answer queries with :meth:`match` /
-    :meth:`match_batch`.  The plane holds advertisement *names* plus
-    columns — never the advertisements themselves; survivors are
-    materialized through the ``fetch`` callable, so a storage-backed
-    repository (:mod:`repro.core.store`) keeps ads off-heap.
+    :meth:`add` / :meth:`remove` maintain them one advertisement at a
+    time; :meth:`match` / :meth:`match_batch` answer queries.  The plane
+    holds advertisement *names* plus columns — never the advertisements
+    themselves; survivors are materialized through the ``fetch``
+    callable, so a storage-backed repository (:mod:`repro.core.store`)
+    keeps ads off-heap.
     """
 
-    def __init__(self, names: List[str], fetch: Callable[[str], Advertisement]):
-        self._names = names
+    def __init__(self, fetch: Callable[[str], Advertisement]):
         self._fetch = fetch
-        n = len(names)
-        self.size = n
-        self.all_mask = (1 << n) - 1
+        #: Ad id -> agent name (None while the id sits on the free list).
+        self._names: List[Optional[str]] = []
+        self._ids: Dict[str, int] = {}
+        self._free: List[int] = []
+        #: Live ads whose constraint conjunction is satisfiable; an
+        #: unsatisfiable ad is rejected for every query (``overlaps``
+        #: is False against anything), so every match starts here.
+        self._matchable_mask = 0
         self._by_agent_type: Dict[str, int] = {}
         self._by_content_language: Dict[str, int] = {}
         self._by_communication_language: Dict[str, int] = {}
@@ -210,83 +263,121 @@ class ColumnarPlane:
         self._by_capability: Dict[str, int] = {}
         #: Ontology name -> mask; ``""`` collects content-unrestricted ads.
         self._by_ontology: Dict[str, int] = {}
-        self._by_class: Dict[str, int] = {}
-        self._no_class_mask = 0
-        self._by_slot: Dict[str, int] = {}
-        self._no_slot_mask = 0
-        self._mobile_mask = 0
-        #: Ads whose constraint conjunction is unsatisfiable: rejected
-        #: for every query (``overlaps`` is False against anything).
-        self._unsat_mask = 0
+        #: Class / slot name -> mask; ``None`` collects the ads listing
+        #: no classes / no slots (they pass those requirements vacuously).
+        self._by_class: Dict[Optional[str], int] = {}
+        self._by_slot: Dict[Optional[str], int] = {}
+        #: ``True`` -> the mobile ads.
+        self._by_mobility: Dict[bool, int] = {}
         self._slot_columns: Dict[str, _SlotColumn] = {}
         #: Advertised response time (-inf = unadvertised, passes any cap).
-        self._response_time = array("d", bytes(8 * n))
+        self._response_time = array("d")
 
-    # ------------------------------------------------------------------
-    # compilation
-    # ------------------------------------------------------------------
     @classmethod
     def compile(
         cls,
         advertisements: Iterable[Advertisement],
         fetch: Callable[[str], Advertisement],
     ) -> "ColumnarPlane":
-        """Compile *advertisements* (one streaming pass, deterministic
-        id order) into a plane that fetches survivors through *fetch*."""
-        ads = list(advertisements)
-        plane = cls([ad.agent_name for ad in ads], fetch)
-        for ad_id, ad in enumerate(ads):
-            plane._add(ad_id, ad)
+        """A plane loaded with *advertisements* (ids in iteration
+        order) that fetches survivors through *fetch*."""
+        plane = cls(fetch)
+        for ad in advertisements:
+            plane.add(ad)
         return plane
 
-    def _add(self, ad_id: int, ad: Advertisement) -> None:
-        bit = 1 << ad_id
+    def __len__(self) -> int:
+        return len(self._ids)
+
+    @property
+    def capacity(self) -> int:
+        """Ad ids ever issued — the width of every bitset and column.
+        The free list keeps it at the peak live population."""
+        return len(self._names)
+
+    # ------------------------------------------------------------------
+    # in-place maintenance
+    # ------------------------------------------------------------------
+    def _postings(self, ad: Advertisement):
+        """``(posting dict, key)`` for every posting list *ad* occupies."""
         desc = ad.description
-        _or_bit(self._by_agent_type, desc.agent_type, bit)
+        yield self._by_agent_type, desc.agent_type
         for language in desc.syntax.content_languages:
-            _or_bit(self._by_content_language, language, bit)
+            yield self._by_content_language, language
         for language in desc.syntax.communication_languages:
-            _or_bit(self._by_communication_language, language, bit)
+            yield self._by_communication_language, language
         for conversation in desc.capabilities.conversations:
-            _or_bit(self._by_conversation, conversation, bit)
+            yield self._by_conversation, conversation
         for function in desc.capabilities.functions:
-            _or_bit(self._by_capability, function, bit)
-        _or_bit(self._by_ontology, desc.content.ontology_name or "", bit)
-        if desc.content.classes:
-            for cls in desc.content.classes:
-                _or_bit(self._by_class, cls, bit)
-        else:
-            self._no_class_mask |= bit
-        if desc.content.slots:
-            for slot in desc.content.slots:
-                _or_bit(self._by_slot, slot, bit)
-        else:
-            self._no_slot_mask |= bit
+            yield self._by_capability, function
+        yield self._by_ontology, desc.content.ontology_name or ""
+        for cls in desc.content.classes or (None,):
+            yield self._by_class, cls
+        for slot in desc.content.slots or (None,):
+            yield self._by_slot, slot
         if desc.properties.mobile:
-            self._mobile_mask |= bit
-        constraints = desc.content.constraints
-        if not constraints.is_satisfiable():
-            self._unsat_mask |= bit
+            yield self._by_mobility, True
+
+    def add(self, ad: Advertisement) -> None:
+        """Enter *ad* (whose agent must not be present) into the plane."""
+        name = ad.agent_name
+        if name in self._ids:
+            raise ValueError(f"agent {name!r} is already in the plane")
+        desc = ad.description
+        advertised_time = desc.properties.estimated_response_time
+        response_time = -_INF if advertised_time is None else advertised_time
+        if self._free:
+            ad_id = self._free.pop()
+            self._names[ad_id] = name
+            self._response_time[ad_id] = response_time
         else:
+            ad_id = len(self._names)
+            self._names.append(name)
+            self._response_time.append(response_time)
+        self._ids[name] = ad_id
+        bit = 1 << ad_id
+        for index, key in self._postings(ad):
+            index[key] = index.get(key, 0) | bit
+        constraints = desc.content.constraints
+        if constraints.is_satisfiable():
+            self._matchable_mask |= bit
             for slot in constraints.slots:
                 column = self._slot_columns.get(slot)
                 if column is None:
-                    column = self._slot_columns[slot] = _SlotColumn(self.size)
-                column.add(ad_id, constraints.domain(slot))
-        advertised_time = desc.properties.estimated_response_time
-        self._response_time[ad_id] = (
-            -_INF if advertised_time is None else advertised_time
-        )
+                    column = self._slot_columns[slot] = _SlotColumn()
+                column.add(ad_id, bit, constraints.domain(slot))
+
+    def remove(self, ad: Advertisement) -> None:
+        """Withdraw *ad* — the advertisement :meth:`add` was given for
+        this agent — and put its id on the free list."""
+        ad_id = self._ids.pop(ad.agent_name)
+        self._names[ad_id] = None
+        self._free.append(ad_id)
+        bit = 1 << ad_id
+        keep = ~bit
+        for index, key in self._postings(ad):
+            remaining = index.get(key, 0) & keep
+            if remaining:
+                index[key] = remaining
+            else:  # pop, not del: an ad may list one value twice
+                index.pop(key, None)
+        if self._matchable_mask & bit:
+            self._matchable_mask &= keep
+            constraints = ad.description.content.constraints
+            for slot in constraints.slots:
+                column = self._slot_columns[slot]
+                column.remove(ad_id, bit, keep, constraints.domain(slot))
+                if not column.restricted_mask:
+                    del self._slot_columns[slot]
 
     # ------------------------------------------------------------------
     # query evaluation
     # ------------------------------------------------------------------
     def posting_mask(self, query: BrokerQuery, context: MatchContext) -> int:
         """Pass 1: AND the posting bitsets of every dimension the query
-        constrains.  Sound *and* exact for those dimensions — unlike the
-        repository's set-based candidate index, slot coverage and
-        mobility are folded in here too."""
-        mask = self.all_mask & ~self._unsat_mask
+        constrains — exact for those dimensions, slot coverage and
+        mobility included."""
+        mask = self._matchable_mask
         if not mask:
             return 0
         if query.agent_type is not None:
@@ -317,7 +408,7 @@ class ColumnarPlane:
             )
         if query.classes and mask:
             for requested in query.classes:
-                bucket = self._no_class_mask
+                bucket = self._by_class.get(None, 0)
                 for cls in context.related_classes(
                     query.ontology_name, requested
                 ):
@@ -326,22 +417,20 @@ class ColumnarPlane:
                 if not mask:
                     return 0
         if query.slots and mask:
+            unrestricted = self._by_slot.get(None, 0)
             if query.allow_partial_slots:
-                bucket = self._no_slot_mask
+                bucket = unrestricted
                 for slot in query.slots:
                     bucket |= self._by_slot.get(slot, 0)
                 mask &= bucket
             else:
                 for slot in query.slots:
-                    covered = self._no_slot_mask | self._by_slot.get(slot, 0)
-                    mask &= covered
+                    mask &= unrestricted | self._by_slot.get(slot, 0)
                     if not mask:
                         return 0
         if query.require_mobile is not None and mask:
-            if query.require_mobile:
-                mask &= self._mobile_mask
-            else:
-                mask &= self.all_mask & ~self._mobile_mask
+            mobile = self._by_mobility.get(True, 0)
+            mask &= mobile if query.require_mobile else ~mobile
         return mask
 
     def constraint_mask(self, query: BrokerQuery, mask: int) -> int:
@@ -379,20 +468,8 @@ class ColumnarPlane:
         population.  Per-reason reject counts need the per-ad walk and
         stay empty here — explain mode reports those.
         """
-        mask = self.posting_mask(query, context)
-        candidates = mask.bit_count()
-        if stats is not None:
-            stats.candidates += candidates
-            stats.constraint_checks += candidates
-        mask = self.constraint_mask(query, mask)
-        if stats is not None:
-            stats.constraint_hits += mask.bit_count()
-        if query.max_response_time is not None:
-            mask = self._cap_response_time(mask, query.max_response_time)
-        matches = self._materialize(query, context, mask)
-        if stats is not None:
-            stats.matched += len(matches)
-        return matches, candidates
+        return self._finish(query, context, stats,
+                            self.posting_mask(query, context))
 
     def match_batch(
         self,
@@ -400,8 +477,8 @@ class ColumnarPlane:
         context: MatchContext,
         stats: Optional[MatchStats] = None,
     ) -> List[Tuple[List[Match], int]]:
-        """One columnar pass over many queries: queries sharing a
-        fingerprint prefix (:meth:`BrokerQuery.posting_prefix` — every
+        """One pass over many queries: queries sharing a fingerprint
+        prefix (:meth:`BrokerQuery.posting_prefix` — every
         match-relevant field except the constraint tail) reuse one
         posting intersection instead of recomputing it."""
         posting_memo: Dict[tuple, int] = {}
@@ -411,46 +488,39 @@ class ColumnarPlane:
             mask = posting_memo.get(prefix)
             if mask is None:
                 mask = posting_memo[prefix] = self.posting_mask(query, context)
-            candidates = mask.bit_count()
-            if stats is not None:
-                stats.candidates += candidates
-                stats.constraint_checks += candidates
-            mask = self.constraint_mask(query, mask)
-            if stats is not None:
-                stats.constraint_hits += mask.bit_count()
-            if query.max_response_time is not None:
-                mask = self._cap_response_time(mask, query.max_response_time)
-            matches = self._materialize(query, context, mask)
-            if stats is not None:
-                stats.matched += len(matches)
-            results.append((matches, candidates))
+            results.append(self._finish(query, context, stats, mask))
         return results
 
-    def _cap_response_time(self, mask: int, cap: float) -> int:
-        response_time = self._response_time
-        return _mask_from_indices(
-            [i for i in _bit_indices(mask) if response_time[i] <= cap]
-        )
-
-    def _materialize(
-        self, query: BrokerQuery, context: MatchContext, mask: int
-    ) -> List[Match]:
-        """Fetch survivors and rank them with the shared scoring
-        function — identical arithmetic to the scan, so equal scores."""
+    def _finish(
+        self, query: BrokerQuery, context: MatchContext,
+        stats: Optional[MatchStats], mask: int,
+    ) -> Tuple[List[Match], int]:
+        """Constraint passes, response-time cap and ranking for the
+        posting survivors in *mask*."""
+        candidates = mask.bit_count()
+        if stats is not None:
+            stats.candidates += candidates
+            stats.constraint_checks += candidates
+        mask = self.constraint_mask(query, mask)
+        if stats is not None:
+            stats.constraint_hits += mask.bit_count()
+        survivors = _bit_indices(mask)
+        if query.max_response_time is not None:
+            cap, response_time = query.max_response_time, self._response_time
+            survivors = [i for i in survivors if response_time[i] <= cap]
+        # Fetch survivors and rank them with the shared scoring
+        # function — identical arithmetic to the scan, so equal scores.
         names = self._names
         fetch = self._fetch
         matches = []
-        for i in _bit_indices(mask):
+        for i in survivors:
             ad = fetch(names[i])
-            matched_slots = _match_slots(query, ad)
             matches.append(Match(
                 advertisement=ad,
                 score=score_match(query, ad, context),
-                matched_slots=tuple(matched_slots),
+                matched_slots=tuple(_match_slots(query, ad)),
             ))
         matches.sort(key=lambda m: (-m.score, m.agent_name))
-        return matches
-
-
-def _or_bit(index: Dict[str, int], key: str, bit: int) -> None:
-    index[key] = index.get(key, 0) | bit
+        if stats is not None:
+            stats.matched += len(matches)
+        return matches, candidates

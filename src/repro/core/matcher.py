@@ -16,12 +16,13 @@ This is the broker's core reasoning, combining:
 An equivalent Datalog-compiled engine lives in
 :mod:`repro.core.datalog_matcher`; property tests assert they agree.
 
-This matcher is the per-candidate predicate; the repository wraps it
-with inverted candidate indexes and a fingerprint-keyed match cache
-(see :mod:`repro.core.repository`), so in production it only runs over
-index survivors.  The hierarchy tests below go through the memoized
-closures (:meth:`CapabilityHierarchy.cover_set`,
-:meth:`Ontology.related_closure`) shared with those indexes.
+This matcher is the per-advertisement predicate: the reference the
+repository's default engine — the columnar plane of
+:mod:`repro.core.columnar` — is held ranked-identical to, and the path
+explain mode takes (see :mod:`repro.core.repository`).  The hierarchy
+tests below go through the memoized closures
+(:meth:`CapabilityHierarchy.cover_set`,
+:meth:`Ontology.related_closure`) the plane's posting probes share.
 """
 
 from __future__ import annotations
@@ -67,7 +68,7 @@ class MatchContext:
     ontologies: Dict[str, Ontology] = field(default_factory=dict)
     #: Opt-in verdict recorder (see :mod:`repro.obs.explain`).  None —
     #: the default — keeps the matching hot path verdict-free; when set,
-    #: the repository bypasses its match cache and candidate pruning so
+    #: the repository bypasses its match cache and the columnar plane so
     #: every advertisement gets exactly one verdict per query.
     explain_sink: Optional[ExplainSink] = None
 

@@ -8,43 +8,40 @@ brokers' capabilities when deciding where to forward — Section 4.1),
 tracks its nominal size in megabytes (the reasoning-cost driver in the
 experiments), and counts the work it performs.
 
-Matchmaking hot path
---------------------
-``query_matches`` used to be a linear scan over every stored
-advertisement.  It is now served by four cooperating layers (all
+Matchmaking
+-----------
+``query`` is served by one engine behind one cache (both
 result-invisible — only the work changes):
 
-1. **Candidate indexes.**  Inverted indexes over ontology name, class
-   (expanded through the ontology's memoized subclass closure),
-   capability (expanded through the capability hierarchy's cover
-   closure) and conversation.  A query intersects the posting lists of
-   the dimensions it constrains and only runs the full semantic matcher
-   over the survivors.  Vacuously-passing advertisements (no ontology,
-   no classes) live in dedicated buckets so the pruning is *sound*: the
-   candidate set always contains every true match.
-2. **Match cache.**  Results are cached per canonical query fingerprint
+1. **Match cache.**  Results are cached per canonical query fingerprint
    (:meth:`BrokerQuery.fingerprint`) and stamped with the repository's
    monotonically increasing *generation*; any advertise / unadvertise —
    or a mutation of the shared ontologies / capability hierarchy —
    bumps the generation, so dynamic communities never see a stale
    recommendation.
-3. **Incremental Datalog backend.**  With ``engine="datalog"`` the
-   repository keeps one persistent
-   :class:`~repro.core.datalog_matcher.IncrementalDatalogMatcher`, so an
-   advertise → query loop applies EDB deltas instead of recompiling and
-   re-evaluating the whole LDL program per advertisement.
-4. **Columnar plane.**  With ``engine="columnar"`` the repository
-   lazily compiles each generation into a
-   :class:`~repro.core.columnar.ColumnarPlane` (bitset posting lists,
-   interval arrays, compiled constraint checkers) and answers queries
-   in vectorized passes instead of per-advertisement walks.  Explain
-   mode still routes through the scan so every advertisement gets its
-   canonical verdict.
+2. **The columnar plane** (``engine="columnar"``, the default).  A
+   :class:`~repro.core.columnar.ColumnarPlane` — bitset posting lists,
+   interval arrays, compiled constraint checkers — is maintained *in
+   place*: ``advertise`` / ``unadvertise`` add or remove exactly the one
+   advertisement's postings and column cells, nothing is ever
+   recompiled, and a cache miss is answered in vectorized passes
+   instead of a per-advertisement walk.
+
+Two reference engines stay selectable, for the equivalence gate and for
+explanation: ``engine="direct"`` is the plain
+:func:`~repro.core.matcher.match_advertisements` scan over every stored
+advertisement (explain mode and ``query_brokers`` always take it, so
+every advertisement gets its canonical verdict), and
+``engine="datalog"`` is the declarative oracle — one persistent
+:class:`~repro.core.datalog_matcher.IncrementalDatalogMatcher` holding
+every stored advertisement as facts, the original broker's LDL
+architecture.
 
 Storage is pluggable: the default :class:`MemoryAdStore` keeps
 advertisements resident in dicts; :class:`repro.core.store.SQLiteAdStore`
 keeps them in a SQLite database via the lossless s-expression codec and
-only materializes the advertisements a query returns.
+only materializes the advertisements a query returns.  A repository
+opened over a populated store loads its engine from it.
 """
 
 from __future__ import annotations
@@ -52,9 +49,10 @@ from __future__ import annotations
 from collections import OrderedDict
 from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Set, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro.core.advertisement import Advertisement
+from repro.core.columnar import ColumnarPlane
 from repro.core.errors import BrokeringError
 from repro.core.matcher import (
     Match,
@@ -66,13 +64,8 @@ from repro.core.matcher import (
 from repro.core.query import BrokerQuery
 from repro.obs.profiler import PROFILER
 
-#: Accepted ``engine`` values (see the class docstring).
-ENGINES = ("direct", "datalog", "columnar")
-
-#: Accepted ``index_mode`` values: no index (the original linear scan),
-#: the ontology dimension only (the paper's "narrower domain"
-#: optimisation), or all four dimensions.
-INDEX_MODES = ("none", "ontology", "full")
+#: Accepted ``engine`` values, the default first (see the class docstring).
+ENGINES = ("columnar", "direct", "datalog")
 
 #: Default bound on distinct cached query fingerprints per repository.
 DEFAULT_MATCH_CACHE_SIZE = 256
@@ -86,7 +79,7 @@ class RepositoryStats:
     advertisements_removed: int = 0
     queries_answered: int = 0
     advertisements_reasoned_over: int = 0
-    #: Advertisements the candidate indexes excluded without reasoning.
+    #: Advertisements the posting intersection excluded without reasoning.
     candidates_pruned: int = 0
     #: Match-cache outcomes (hits skip matching entirely).
     cache_hits: int = 0
@@ -166,77 +159,60 @@ class MemoryAdStore:
 class BrokerRepository:
     """Advertisement storage and local matchmaking for one broker.
 
-    ``engine`` selects the reasoning backend: ``"direct"`` (the fast
-    Python matcher), ``"datalog"`` (advertisements compiled to facts,
-    queries to rules — the original broker's LDL architecture), or
-    ``"columnar"`` (generations compiled to bitset posting lists and
-    interval columns — see :mod:`repro.core.columnar`).  All produce
+    ``engine`` selects the reasoning backend: ``"columnar"`` (the
+    default — bitset posting lists and interval columns maintained in
+    place, see :mod:`repro.core.columnar`), ``"direct"`` (the plain
+    per-advertisement scan, the reference) or ``"datalog"``
+    (advertisements compiled to facts, queries to rules — the original
+    broker's LDL architecture, the declarative oracle).  All produce
     identical ranked match sets.
 
-    ``index_mode`` selects candidate pruning for the direct engine
-    (``"full"`` by default; see the module docstring), and
     ``match_cache_size`` bounds the fingerprint-keyed match cache (0
     disables it).  ``store`` plugs in the advertisement storage backend
-    (default resident :class:`MemoryAdStore`).  ``index_by_ontology``
-    is a deprecated alias kept for older callers: ``True`` maps to
-    ``index_mode="ontology"``, ``False`` to ``"none"``.
+    (default resident :class:`MemoryAdStore`); advertisements it already
+    holds are loaded into the engine.
     """
 
     def __init__(
         self,
         context: Optional[MatchContext] = None,
-        engine: str = "direct",
-        index_mode: str = "full",
+        engine: str = "columnar",
         match_cache_size: int = DEFAULT_MATCH_CACHE_SIZE,
-        index_by_ontology: Optional[bool] = None,
         store=None,
     ):
         if engine not in ENGINES:
             raise BrokeringError(f"unknown matching engine {engine!r}")
-        if index_by_ontology is not None:  # deprecated alias
-            index_mode = "ontology" if index_by_ontology else "none"
-        if index_mode not in INDEX_MODES:
-            raise BrokeringError(f"unknown index mode {index_mode!r}")
         if match_cache_size < 0:
             raise BrokeringError("match_cache_size must be >= 0")
         self._store = store if store is not None else MemoryAdStore()
         self.context = context or MatchContext()
         self.engine = engine
-        self.index_mode = index_mode
         self.match_cache_size = match_cache_size
-        # Inverted indexes: dimension value -> agent names.  ``""`` in
-        # the ontology index collects content-unrestricted agents;
-        # ``_no_class_agents`` collects agents advertising no classes
-        # (both pass those requirements vacuously).
-        self._ontology_index: Dict[str, Set[str]] = {}
-        self._class_index: Dict[str, Set[str]] = {}
-        self._no_class_agents: Set[str] = set()
-        self._capability_index: Dict[str, Set[str]] = {}
-        self._conversation_index: Dict[str, Set[str]] = {}
         #: Bumped on every repository mutation *and* whenever the shared
         #: semantic knowledge (ontologies, capability hierarchy) moves;
-        #: cached match lists and the columnar plane carry the
-        #: generation they were computed at and are ignored (and
-        #: eventually evicted) once it changes.
+        #: cached match lists carry the generation they were computed at
+        #: and are ignored (and eventually evicted) once it changes.
         self._generation = 0
         self._knowledge_stamp = self._context_stamp()
         self._match_cache: "OrderedDict[tuple, Tuple[int, Tuple[Match, ...]]]" = (
             OrderedDict()
         )
+        #: The engine's own view of the stored agent advertisements —
+        #: loaded from the store here, kept in step by :meth:`_reindex`
+        #: (the scan needs none: it reads the store).
+        self._plane = None
         self._datalog = None
-        if engine == "datalog":
+        if engine == "columnar":
+            self._plane = ColumnarPlane.compile(
+                self._store.iter_agents(), self._fetch_agent
+            )
+        elif engine == "datalog":
             from repro.core.datalog_matcher import IncrementalDatalogMatcher
 
             self._datalog = IncrementalDatalogMatcher(self.context)
-        #: Lazily compiled columnar plane + the generation it reflects.
-        self._columnar = None
-        self._columnar_generation = -1
+            for ad in self._store.iter_agents():
+                self._datalog.advertise(ad)
         self.stats = RepositoryStats()
-
-    @property
-    def index_by_ontology(self) -> bool:
-        """Deprecated: True when any candidate indexing is active."""
-        return self.index_mode != "none"
 
     @property
     def store(self):
@@ -250,7 +226,6 @@ class BrokerRepository:
         return BrokerRepository(
             self.context,
             engine=self.engine,
-            index_mode=self.index_mode,
             match_cache_size=self.match_cache_size,
             store=self._store.clone_empty(),
         )
@@ -273,13 +248,13 @@ class BrokerRepository:
 
     @property
     def generation(self) -> int:
-        """The monotonic staleness stamp for cached match state.
+        """The monotonic staleness stamp for cached match lists.
 
         Reading it revalidates the semantic-knowledge snapshot, so an
         ontology mutation (a class added after an ontology reload, a
-        hierarchy extension) invalidates cached match lists and the
-        columnar plane exactly like an advertise would — closure memos
-        computed under the old ontology can never leak into answers.
+        hierarchy extension) invalidates cached match lists exactly like
+        an advertise would.  The plane needs no such stamp: it stores
+        exact names and expands closures per query.
         """
         stamp = self._context_stamp()
         if stamp != self._knowledge_stamp:
@@ -299,21 +274,17 @@ class BrokerRepository:
         A re-advertisement fully replaces the previous one — including
         across the agent/broker boundary, so an agent that starts
         advertising broker capabilities (or vice versa) never leaves a
-        stale entry in the other store or the candidate indexes.
+        stale entry in the other store or the engine's index.
         """
-        previous = self._store.pop_agent(ad.agent_name)
-        if previous is not None:
-            self._unindex(previous)
-        self._store.pop_broker(ad.agent_name)
+        name = ad.agent_name
+        previous = self._store.pop_agent(name)
+        self._store.pop_broker(name)
         if ad.is_broker():
             self._store.put_broker(ad)
-            if previous is not None and self._datalog is not None:
-                self._datalog.unadvertise(ad.agent_name)
+            self._reindex(previous, None)
         else:
             self._store.put_agent(ad)
-            self._index(ad)
-            if self._datalog is not None:
-                self._datalog.advertise(ad)
+            self._reindex(previous, ad)
         self._bump_generation()
         self.stats.advertisements_accepted += 1
 
@@ -321,14 +292,36 @@ class BrokerRepository:
         """Remove an agent's advertisement; True when one was present."""
         previous = self._store.pop_agent(agent_name)
         if previous is not None:
-            self._unindex(previous)
-            if self._datalog is not None:
-                self._datalog.unadvertise(agent_name)
+            self._reindex(previous, None)
         elif self._store.pop_broker(agent_name) is None:
             return False
         self._bump_generation()
         self.stats.advertisements_removed += 1
         return True
+
+    def _reindex(
+        self, old: Optional[Advertisement], new: Optional[Advertisement]
+    ) -> None:
+        """Swap one agent's advertisement in the engine's index: *old*
+        (if any) leaves, *new* (if any) enters — in place, touching
+        only what that one advertisement occupies."""
+        plane = self._plane
+        if plane is not None:
+            if PROFILER.enabled:
+                PROFILER.begin("match.columnar.build")
+            try:
+                if old is not None:
+                    plane.remove(old)
+                if new is not None:
+                    plane.add(new)
+            finally:
+                if PROFILER.enabled:
+                    PROFILER.end("match.columnar.build")
+        elif self._datalog is not None:
+            if new is not None:
+                self._datalog.advertise(new)  # retracts the old facts itself
+            elif old is not None:
+                self._datalog.unadvertise(old.agent_name)
 
     @contextmanager
     def bulk(self):
@@ -338,42 +331,6 @@ class BrokerRepository:
         of a thousand commits; resident storage treats it as a no-op."""
         with self._store.bulk():
             yield self
-
-    def _index(self, ad: Advertisement) -> None:
-        name = ad.agent_name
-        desc = ad.description
-        self._ontology_index.setdefault(
-            desc.content.ontology_name or "", set()
-        ).add(name)
-        if desc.content.classes:
-            for cls in desc.content.classes:
-                self._class_index.setdefault(cls, set()).add(name)
-        else:
-            self._no_class_agents.add(name)
-        for function in desc.capabilities.functions:
-            self._capability_index.setdefault(function, set()).add(name)
-        for conversation in desc.capabilities.conversations:
-            self._conversation_index.setdefault(conversation, set()).add(name)
-
-    def _unindex(self, ad: Advertisement) -> None:
-        name = ad.agent_name
-        desc = ad.description
-        self._discard(self._ontology_index, desc.content.ontology_name or "", name)
-        for cls in desc.content.classes:
-            self._discard(self._class_index, cls, name)
-        self._no_class_agents.discard(name)
-        for function in desc.capabilities.functions:
-            self._discard(self._capability_index, function, name)
-        for conversation in desc.capabilities.conversations:
-            self._discard(self._conversation_index, conversation, name)
-
-    @staticmethod
-    def _discard(index: Dict[str, Set[str]], key: str, name: str) -> None:
-        bucket = index.get(key)
-        if bucket is not None:
-            bucket.discard(name)
-            if not bucket:
-                del index[key]
 
     def knows(self, agent_name: str) -> bool:
         return (
@@ -423,27 +380,18 @@ class BrokerRepository:
         outcomes, constraint-overlap attempts vs. hits — as
         ``matcher.*`` / ``repo.*`` counters."""
         self.stats.queries_answered += 1
-        observing = observer is not None and observer.enabled
+        observer = observer if observer is not None and observer.enabled else None
 
         sink = self.context.explain_sink
         if sink is not None:
-            return self._query_explained(query, sink,
-                                         observer if observing else None)
+            return self._query_explained(query, sink, observer)
 
         key = query.fingerprint() if self.match_cache_size else None
         if key is not None:
-            cached = self._cache_lookup(key, observing, observer)
+            cached = self._cache_lookup(key, observer)
             if cached is not None:
                 return cached
-
-        stats = MatchStats() if observing else None
-        if self.engine == "columnar":
-            matches = self._columnar_query(query, stats)
-        else:
-            matches = self._scan_query(query, stats, observing, observer)
-        if observing:
-            self._observe_match_stats(observer, stats)
-
+        matches = self._match([query], observer)[0]
         if key is not None:
             self._cache_store(key, matches)
         return matches
@@ -451,54 +399,34 @@ class BrokerRepository:
     def query_batch(self, queries: List[BrokerQuery], observer=None) -> List[List[Match]]:
         """Answer many queries in one pass (micro-batched recommends).
 
-        With the columnar engine, cache misses share one compiled plane
-        and queries with equal posting prefixes share one bitset
-        intersection (:meth:`ColumnarPlane.match_batch`); other engines
-        degrade to sequential :meth:`query` calls.  Results are
-        positionally aligned with *queries*.
+        Cache misses go to the engine together, so on the plane queries
+        with equal posting prefixes share one bitset intersection
+        (:meth:`ColumnarPlane.match_batch`).  Results are positionally
+        aligned with *queries*.
         """
-        if self.engine != "columnar" or self.context.explain_sink is not None:
+        if self.context.explain_sink is not None:
             return [self.query(query, observer=observer) for query in queries]
-        observing = observer is not None and observer.enabled
+        observer = observer if observer is not None and observer.enabled else None
         results: List[Optional[List[Match]]] = [None] * len(queries)
         misses: List[Tuple[int, Optional[tuple], BrokerQuery]] = []
         for position, query in enumerate(queries):
             self.stats.queries_answered += 1
             key = query.fingerprint() if self.match_cache_size else None
             if key is not None:
-                cached = self._cache_lookup(key, observing, observer)
+                cached = self._cache_lookup(key, observer)
                 if cached is not None:
                     results[position] = cached
                     continue
             misses.append((position, key, query))
         if misses:
-            plane = self._plane()
-            stats = MatchStats() if observing else None
-            if PROFILER.enabled:
-                PROFILER.begin("match.columnar.sweep")
-            try:
-                answered = plane.match_batch(
-                    [query for _, _, query in misses], self.context, stats
-                )
-            finally:
-                if PROFILER.enabled:
-                    PROFILER.end("match.columnar.sweep")
-            stored = self._store.agent_count
-            for (position, key, _query), (matches, candidates) in zip(
-                misses, answered
-            ):
-                self.stats.advertisements_reasoned_over += candidates
-                self.stats.candidates_pruned += stored - candidates
-                if observing:
-                    observer.inc("repo.index.pruned", stored - candidates)
+            answered = self._match([query for _, _, query in misses], observer)
+            for (position, key, _query), matches in zip(misses, answered):
                 results[position] = matches
                 if key is not None:
                     self._cache_store(key, matches)
-            if observing:
-                self._observe_match_stats(observer, stats)
         return results
 
-    def _cache_lookup(self, key, observing, observer) -> Optional[List[Match]]:
+    def _cache_lookup(self, key, observer) -> Optional[List[Match]]:
         if PROFILER.enabled:
             PROFILER.begin("cache.lookup")
         try:
@@ -506,11 +434,11 @@ class BrokerRepository:
             if entry is not None and entry[0] == self.generation:
                 self._match_cache.move_to_end(key)
                 self.stats.cache_hits += 1
-                if observing:
+                if observer is not None:
                     observer.inc("repo.cache.count", outcome="hit")
                 return list(entry[1])
             self.stats.cache_misses += 1
-            if observing:
+            if observer is not None:
                 observer.inc("repo.cache.count", outcome="miss")
             return None
         finally:
@@ -523,75 +451,59 @@ class BrokerRepository:
         while len(self._match_cache) > self.match_cache_size:
             self._match_cache.popitem(last=False)
 
-    def _scan_query(self, query, stats, observing, observer) -> List[Match]:
-        """The direct/datalog path: candidate indexes + per-ad matcher."""
+    def _match(self, queries: List[BrokerQuery], observer) -> List[List[Match]]:
+        """Answer cache misses with the configured engine: one
+        vectorized pass over the plane, or the reference scan per query
+        (which reasons over every stored advertisement)."""
+        stats = MatchStats() if observer is not None else None
+        stored = self._store.agent_count
+        phase = "match.filter" if self._plane is None else "match.columnar.sweep"
         if PROFILER.enabled:
-            PROFILER.begin("match.index_probe")
+            PROFILER.begin(phase)
         try:
-            candidates = self._candidates(query)
-        finally:
-            if PROFILER.enabled:
-                PROFILER.end("match.index_probe")
-        pruned = self._store.agent_count - len(candidates)
-        self.stats.advertisements_reasoned_over += len(candidates)
-        self.stats.candidates_pruned += pruned
-        if PROFILER.enabled:
-            PROFILER.begin("match.filter")
-        try:
-            if self._datalog is not None:
-                recomputes_before = self._datalog.engine.stats.full_recomputes
-                matches = self._datalog_query(query, candidates, stats)
-                if observing:
-                    observer.inc(
-                        "datalog.recompute",
-                        self._datalog.engine.stats.full_recomputes - recomputes_before,
-                    )
+            if self._plane is not None:
+                answered = self._plane.match_batch(queries, self.context, stats)
             else:
-                matches = match_advertisements(query, candidates, self.context, stats)
+                answered = [
+                    (self._scan(query, stats, observer), stored)
+                    for query in queries
+                ]
         finally:
             if PROFILER.enabled:
-                PROFILER.end("match.filter")
-        if observing:
-            observer.inc("repo.index.pruned", pruned)
-        return matches
+                PROFILER.end(phase)
+        for _matches, candidates in answered:
+            self.stats.advertisements_reasoned_over += candidates
+            self.stats.candidates_pruned += stored - candidates
+            if observer is not None:
+                observer.inc("repo.index.pruned", stored - candidates)
+        if observer is not None:
+            self._observe_match_stats(observer, stats)
+        return [matches for matches, _candidates in answered]
 
-    def _columnar_query(self, query: BrokerQuery, stats) -> List[Match]:
-        """The columnar path: AND posting bitsets, sweep interval
-        columns, run residual checkers on survivors."""
-        plane = self._plane()
-        if PROFILER.enabled:
-            PROFILER.begin("match.columnar.sweep")
-        try:
-            matches, candidates = plane.match(query, self.context, stats)
-        finally:
-            if PROFILER.enabled:
-                PROFILER.end("match.columnar.sweep")
-        self.stats.advertisements_reasoned_over += candidates
-        self.stats.candidates_pruned += self._store.agent_count - candidates
-        return matches
-
-    def _plane(self):
-        """The columnar plane for the current generation, compiling it
-        lazily (one streaming pass over storage) when stale."""
-        from repro.core.columnar import ColumnarPlane
-
-        generation = self.generation
-        if self._columnar is None or self._columnar_generation != generation:
-            if PROFILER.enabled:
-                PROFILER.begin("match.columnar.build")
-            try:
-                self._columnar = ColumnarPlane.compile(
-                    self._store.iter_agents(), self._fetch_agent
-                )
-            finally:
-                if PROFILER.enabled:
-                    PROFILER.end("match.columnar.build")
-            self._columnar_generation = generation
-        return self._columnar
+    def _scan(self, query: BrokerQuery, stats, observer) -> List[Match]:
+        """The reference engines: the per-ad matcher over every stored
+        advertisement, or — LDL-style — over the names the persistent
+        Datalog engine derives, ranked by the shared scoring function.
+        (With *stats*, the Datalog counts reflect that ranking pass.)"""
+        if self._datalog is None:
+            return match_advertisements(
+                query, self._store.iter_agents(), self.context, stats
+            )
+        recomputes_before = self._datalog.engine.stats.full_recomputes
+        names = self._datalog.match_names(query)
+        if observer is not None:
+            observer.inc(
+                "datalog.recompute",
+                self._datalog.engine.stats.full_recomputes - recomputes_before,
+            )
+        return match_advertisements(
+            query, [self._fetch_agent(name) for name in sorted(names)],
+            self.context, stats,
+        )
 
     def _fetch_agent(self, name: str) -> Advertisement:
         ad = self._store.get_agent(name)
-        if ad is None:  # unreachable while the plane's generation holds
+        if ad is None:  # unreachable while _reindex tracks the store
             raise BrokeringError(f"no advertisement for agent {name!r}")
         return ad
 
@@ -608,9 +520,8 @@ class BrokerRepository:
         """EXPLAIN-ANALYZE mode: answer *query* while recording exactly
         one verdict per stored advertisement.
 
-        Bypasses the match cache, the candidate indexes and the columnar
-        plane — a cache hit would record nothing, a pruned advertisement
-        would get no verdict, and the vectorized passes cannot attribute
+        Bypasses the match cache and the columnar plane — a cache hit
+        would record nothing and the vectorized passes cannot attribute
         a canonical reject reason — so this path costs a full scan by
         design; it is only reachable when the caller opted into
         explanation.
@@ -635,78 +546,12 @@ class BrokerRepository:
             matches = match_advertisements(
                 query, candidates, self.context, stats, explain=sink,
             )
-            if self.engine == "columnar":
-                backend = "columnar"
-            elif self.index_mode == "none":
-                backend = "scan"
-            else:
-                backend = "indexed"
-            sink.queries[-1].backend = backend
+            sink.queries[-1].backend = (
+                "scan" if self._plane is None else "columnar"
+            )
         if observer is not None:
             self._observe_match_stats(observer, stats)
         return matches
-
-    def _candidates(self, query: BrokerQuery) -> List[Advertisement]:
-        """The advertisements worth reasoning over for *query*: the
-        intersection of the posting lists of every indexed dimension the
-        query constrains (sound — a superset of the true match set)."""
-        if self.index_mode == "none":
-            return list(self._store.iter_agents())
-
-        names: Optional[Set[str]] = None
-        if query.ontology_name is not None:
-            names = self._ontology_index.get(query.ontology_name, set()) | (
-                self._ontology_index.get("", set())  # content-unrestricted ads
-            )
-
-        if self.index_mode == "full":
-            for requested in query.classes:
-                bucket = set(self._no_class_agents)
-                for cls in self._class_expansion(query.ontology_name, requested):
-                    bucket |= self._class_index.get(cls, set())
-                names = bucket if names is None else names & bucket
-                if not names:
-                    return []
-            hierarchy = self.context.capability_hierarchy
-            for requested in query.capabilities:
-                bucket: Set[str] = set()
-                for function in hierarchy.cover_set(requested):
-                    bucket |= self._capability_index.get(function, set())
-                names = bucket if names is None else names & bucket
-                if not names:
-                    return []
-            for conversation in query.conversations:
-                bucket = self._conversation_index.get(conversation, set())
-                names = bucket if names is None else names & bucket
-                if not names:
-                    return []
-
-        if names is None:  # no indexed dimension constrained
-            return list(self._store.iter_agents())
-        return [self._store.get_agent(name) for name in sorted(names)]
-
-    def _class_expansion(self, ontology_name: str, requested: str):
-        """Advertised class names relatable to *requested* (the memoized
-        is-a closure when the ontology is known, else exact match)."""
-        ontology = self.context.ontologies.get(ontology_name)
-        if ontology is None or requested not in ontology:
-            return (requested,)
-        return ontology.related_closure(requested)
-
-    def _datalog_query(
-        self, query: BrokerQuery, candidates: List[Advertisement],
-        stats: Optional[MatchStats] = None,
-    ) -> List[Match]:
-        """LDL-style matchmaking: names from the persistent incremental
-        Datalog engine, ranking from the shared scoring function.  (With
-        *stats*, counts reflect the ranking pass over the
-        Datalog-selected subset.)"""
-        names = self._datalog.match_names(query)
-        ranked = match_advertisements(
-            query, [ad for ad in candidates if ad.agent_name in names],
-            self.context, stats, explain=None,
-        )
-        return ranked
 
     def query_brokers(self, query: BrokerQuery) -> List[Match]:
         """Match *query* against stored *broker* advertisements (used to

@@ -242,10 +242,10 @@ class SQLiteBrokerRepository(BrokerRepository):
     """A :class:`BrokerRepository` whose advertisements live in SQLite.
 
     Pure convenience: ``BrokerRepository(context, store=SQLiteAdStore(path))``
-    is the long form.  Pairs naturally with ``engine="columnar"`` — the
-    plane holds only bitsets and interval columns, and SQLite holds the
-    advertisements, so query cost no longer requires the whole
-    repository resident in Python objects.
+    is the long form.  The default columnar plane holds only bitsets
+    and interval columns, and SQLite holds the advertisements, so query
+    cost does not require the whole repository resident in Python
+    objects.
     """
 
     def __init__(

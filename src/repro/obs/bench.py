@@ -84,30 +84,21 @@ class Regression:
 # ----------------------------------------------------------------------
 def _extract_match(data: Mapping, source: str) -> List[Indicator]:
     out = []
-    for size, speedup in sorted((data.get("speedup_cache_vs_scan") or {}).items(),
-                                key=lambda kv: int(kv[0])):
-        out.append(Indicator(f"match.speedup_cache_vs_scan.size={size}",
-                             float(speedup), "higher", source))
+    # Speed-ups are same-machine ratios, so they are gated; raw walls
+    # and the per-write cost are recorded only.
+    for row in ("speedup_plane_vs_scan", "speedup_cache_vs_scan"):
+        for size, speedup in sorted((data.get(row) or {}).items(),
+                                    key=lambda kv: int(kv[0])):
+            out.append(Indicator(f"match.{row}.size={size}",
+                                 float(speedup), "higher", source))
     for variant, by_size in sorted((data.get("wall_seconds") or {}).items()):
         for size, wall in sorted(by_size.items(), key=lambda kv: int(kv[0])):
             out.append(Indicator(f"match.wall_s.{variant}.size={size}",
                                  float(wall), "lower", source, checked=False))
-    # The columnar tier (constraint-rich workload).  The speedup is a
-    # same-machine ratio, so it is gated; raw walls are recorded only.
-    for size, speedup in sorted(
-            (data.get("speedup_columnar_vs_scan") or {}).items(),
-            key=lambda kv: int(kv[0])):
-        out.append(Indicator(f"match.columnar_speedup_vs_scan.size={size}",
-                             float(speedup), "higher", source))
-    for size, wall in sorted((data.get("columnar_build_seconds") or {}).items(),
-                             key=lambda kv: int(kv[0])):
-        out.append(Indicator(f"match.columnar_build_s.size={size}",
-                             float(wall), "lower", source, checked=False))
-    for variant, by_size in sorted(
-            (data.get("columnar_wall_seconds") or {}).items()):
-        for size, wall in sorted(by_size.items(), key=lambda kv: int(kv[0])):
-            out.append(Indicator(f"match.wall_s.{variant}.size={size}",
-                                 float(wall), "lower", source, checked=False))
+    for size, micros in sorted((data.get("write_us") or {}).items(),
+                               key=lambda kv: int(kv[0])):
+        out.append(Indicator(f"match.write_us.size={size}",
+                             float(micros), "lower", source, checked=False))
     return out
 
 

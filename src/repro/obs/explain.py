@@ -5,7 +5,7 @@ pay nothing when disabled):
 
 * **Verdict trails** — an :class:`ExplainSink` hung on
   ``MatchContext.explain_sink`` makes every matcher backend (scan,
-  indexed, datalog) record one :class:`Verdict` per advertisement per
+  columnar, datalog) record one :class:`Verdict` per advertisement per
   query: accepted with the winning score breakdown, or rejected with the
   first machine-readable reason in the canonical filter order
   (``agent-type-mismatch`` .. ``response-time-exceeded``).

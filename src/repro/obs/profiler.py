@@ -1,7 +1,7 @@
 """Always-on hot-path phase profiler.
 
 A :class:`PhaseProfiler` aggregates nested, named activity phases —
-``bus.deliver``, ``match.index_probe``, ``cache.lookup``,
+``bus.deliver``, ``match.columnar.sweep``, ``cache.lookup``,
 ``match.filter``, ``journal.append`` — into per-stack wall-clock
 totals.  Instrumented code talks to the process-wide :data:`PROFILER`
 singleton and pays exactly one attribute load plus one branch when the

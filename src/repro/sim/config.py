@@ -11,6 +11,8 @@ import enum
 from dataclasses import dataclass, field
 from typing import Optional
 
+from repro.core.repository import ENGINES
+
 
 class BrokerStrategy(enum.Enum):
     """The three brokering arrangements of Figure 14."""
@@ -130,9 +132,10 @@ class SimConfig:
     broker_sync_interval: Optional[float] = None
 
     # --- matchmaking engine -------------------------------------------------
-    #: Repository matching backend for every broker: ``"direct"``,
-    #: ``"datalog"`` or ``"columnar"`` (see repro.core.repository).
-    broker_engine: str = "direct"
+    #: Repository matching backend for every broker: ``"columnar"``
+    #: (the default), ``"direct"`` or ``"datalog"`` (see
+    #: repro.core.repository).
+    broker_engine: str = "columnar"
     #: When set, brokers buffer concurrent recommend-* requests for
     #: this many (virtual) seconds and answer them in one repository
     #: pass (micro-batching; see BrokerAgent.recommend_batch_window).
@@ -261,10 +264,8 @@ class SimConfig:
             raise ValueError("crash_mode must be 'lenient' or 'strict'")
         if self.broker_sync_interval is not None and self.broker_sync_interval <= 0:
             raise ValueError("broker sync interval must be positive")
-        if self.broker_engine not in ("direct", "datalog", "columnar"):
-            raise ValueError(
-                "broker_engine must be 'direct', 'datalog' or 'columnar'"
-            )
+        if self.broker_engine not in ENGINES:
+            raise ValueError(f"broker_engine must be one of {ENGINES}")
         if self.broker_batch_window is not None and self.broker_batch_window <= 0:
             raise ValueError("broker batch window must be positive")
         if self.flight_recorder_slots is not None and self.flight_recorder_slots < 1:

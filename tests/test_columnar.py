@@ -9,14 +9,15 @@ results:
 * compiled per-domain overlap checkers agree with ``overlaps_domains``
   and compiled constraint checkers with ``Constraint.overlaps``
   (hypothesis, including open and infinite endpoints);
-* randomized communities rank identically under scan, indexed, Datalog
-  and columnar — with constraint pools exercising open/unbounded
+* randomized communities rank identically under scan, Datalog and
+  columnar — with constraint pools exercising open/unbounded
   intervals, point queries that empty the posting sets, and both the
   simple-interval-array and grouped-checker regimes;
 * ``query_batch`` equals per-query answers, cached and uncached;
 * a SQLite-backed repository answers byte-identically to the in-memory
-  one on seeds 0-2, survives a codec round-trip, and a journal replay
-  into a SQLite store reproduces the original repository.
+  one on seeds 0-2, survives a codec round-trip, a journal replay into
+  a SQLite store reproduces the original repository, and a repository
+  reopened over a populated database answers under every engine.
 """
 
 import random
@@ -176,11 +177,10 @@ def test_columnar_ranked_identical_on_edge_communities(seed):
     context = MatchContext(
         ontologies={name: pair[0] for name, pair in ontologies.items()}
     )
-    scan = BrokerRepository(context, index_mode="none", match_cache_size=0)
-    indexed = BrokerRepository(context, index_mode="full")
+    scan = BrokerRepository(context, engine="direct", match_cache_size=0)
     datalog = BrokerRepository(context, engine="datalog")
-    columnar = BrokerRepository(context, engine="columnar")
-    repos = (scan, indexed, datalog, columnar)
+    columnar = BrokerRepository(context)
+    repos = (scan, datalog, columnar)
 
     ads = [edge_ad(rng, f"agent-{i}", ontologies) for i in range(24)]
     for ad in ads:
@@ -190,7 +190,6 @@ def test_columnar_ranked_identical_on_edge_communities(seed):
     queries = [edge_query(rng, ontologies) for _ in range(14)]
     for query in queries + queries[:7]:
         expected = ranked(scan.query(query))
-        assert ranked(indexed.query(query)) == expected
         assert ranked(datalog.query(query)) == expected
         assert ranked(columnar.query(query)) == expected
 
@@ -241,8 +240,8 @@ def test_match_batch_equals_per_query(cache):
     context = MatchContext(
         ontologies={name: pair[0] for name, pair in ontologies.items()}
     )
-    reference = BrokerRepository(context, index_mode="none", match_cache_size=0)
-    batched = BrokerRepository(context, engine="columnar", match_cache_size=cache)
+    reference = BrokerRepository(context, engine="direct", match_cache_size=0)
+    batched = BrokerRepository(context, match_cache_size=cache)
     ads = [edge_ad(rng, f"agent-{i}", ontologies) for i in range(20)]
     for ad in ads:
         reference.advertise(ad)
@@ -374,3 +373,29 @@ def test_sqlite_clone_empty_forgets():
     assert clone.query(BrokerQuery()) == []
     # the original is untouched
     assert repo.agent_count == 1
+
+
+@pytest.mark.parametrize("engine", ["columnar", "direct", "datalog"])
+def test_repository_reopened_over_populated_store_answers(tmp_path, engine):
+    """Regression: the engine's index is loaded from the store at
+    construction, so a broker restarted over its database finds what an
+    earlier process wrote — and can withdraw it."""
+    from tests.test_core_matcher import make_ad
+
+    path = str(tmp_path / "ads.db")
+    store = SQLiteAdStore(path)
+    writer = BrokerRepository(store=store)
+    writer.advertise(make_ad("kept", ontology="healthcare",
+                             constraints="age between 20 and 60"))
+    writer.advertise(make_ad("dropped", ontology="healthcare"))
+    store.close()
+
+    reopened = BrokerRepository(engine=engine, store=SQLiteAdStore(path))
+    assert reopened.agent_count == 2
+    query = BrokerQuery(ontology_name="healthcare",
+                        constraints=parse_constraint("age > 50"))
+    assert sorted(m.agent_name for m in reopened.query(query)) == [
+        "dropped", "kept"]
+    assert reopened.unadvertise("dropped")
+    assert [m.agent_name for m in reopened.query(query)] == ["kept"]
+    reopened.store.close()

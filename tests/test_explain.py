@@ -191,7 +191,7 @@ class TestScoreBreakdown:
 class TestRepositoryExplain:
     def test_explain_bypasses_cache_and_indexes(self):
         context = small_context()
-        repo = BrokerRepository(context, index_mode="full")
+        repo = BrokerRepository(context)
         repo.advertise(base_ad())
         repo.advertise(make_ad("other", agent_type="query"))
         query = base_query()
@@ -204,13 +204,14 @@ class TestRepositoryExplain:
             context.explain_sink = None
         assert [m.agent_name for m in matches] == ["ad"]
         trail = sink.queries[0]
-        # every stored advertisement got a verdict, even index casualties
+        assert trail.backend == "columnar"
+        # every stored advertisement got a verdict, even posting casualties
         assert sorted(v.agent for v in trail.verdicts) == ["ad", "other"]
         assert trail.verdict_for("other").reason == REASON_AGENT_TYPE
 
     def test_sink_limit_keeps_most_recent(self):
         context = small_context()
-        repo = BrokerRepository(context, index_mode="none", match_cache_size=0)
+        repo = BrokerRepository(context, engine="direct", match_cache_size=0)
         repo.advertise(base_ad())
         sink = ExplainSink(limit=3)
         context.explain_sink = sink

@@ -1,28 +1,35 @@
-"""Tests for the repository's candidate indexes and match cache.
+"""Tests for the maintained columnar plane and the match cache.
 
-Covers the multi-dimension inverted indexes (ontology, class closure,
-capability closure, conversation), the fingerprint-keyed match cache
-with its generation-counter invalidation, and full index consistency
-across advertise → unadvertise → re-advertise cycles — including
-agent/broker type flips (the re-advertisement bug this PR fixed).
+Covers the plane's posting dimensions (ontology, class closure,
+capability closure, conversation) against the scan, the
+fingerprint-keyed match cache with its generation-counter invalidation,
+and — as a Hypothesis stateful model — in-place maintenance across
+advertise / re-advertise / unadvertise / agent-broker flips / crashes:
+the maintained plane, a plane freshly built from the store and the scan
+must always agree, and the id free list must keep the plane no wider
+than the peak live population.
 """
 
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.stateful import RuleBasedStateMachine, rule
 
-from repro.core import BrokerQuery, BrokerRepository, BrokeringError, MatchContext
+from repro.constraints import parse_constraint
+from repro.core import BrokerQuery, BrokerRepository, MatchContext
+from repro.core.columnar import ColumnarPlane
 from repro.ontology import healthcare_ontology
 from tests.test_core_matcher import make_ad
 from tests.test_core_infrastructure import broker_ad
+from tests.test_matchmaking_equivalence import ranked
 
 ONTOLOGIES = ["healthcare", "aerospace", "finance", ""]
 
 
-def build_repos(ads, **indexed_kwargs):
-    """A linear-scan repository and an indexed one over the same ads."""
+def build_repos(ads, **plane_kwargs):
+    """A linear-scan repository and a plane-backed one over the same ads."""
     context = MatchContext(ontologies={"healthcare": healthcare_ontology()})
-    scan = BrokerRepository(context, index_mode="none", match_cache_size=0)
-    indexed = BrokerRepository(context, **indexed_kwargs)
+    scan = BrokerRepository(context, engine="direct", match_cache_size=0)
+    indexed = BrokerRepository(context, **plane_kwargs)
     for ad in ads:
         scan.advertise(ad)
         indexed.advertise(ad)
@@ -69,8 +76,9 @@ class TestCandidateIndex:
 
     def test_no_indexed_dimension_scans_everything(self):
         _, indexed = build_repos(sample_ads())
-        indexed.query(BrokerQuery(agent_type="resource"))
+        indexed.query(BrokerQuery())
         assert indexed.stats.advertisements_reasoned_over == 12
+        assert indexed.stats.candidates_pruned == 0
 
     def test_class_index_expands_subclass_closure(self):
         # A query over the superclass must reach subclass advertisers
@@ -113,24 +121,6 @@ class TestCandidateIndex:
         assert names(indexed.query(query)) == ["a"]
         assert indexed.stats.advertisements_reasoned_over == 1
         assert names(scan.query(query)) == names(indexed.query(query))
-
-    def test_ontology_only_mode_matches_deprecated_alias(self):
-        ads = sample_ads()
-        _, via_mode = build_repos(ads, index_mode="ontology")
-        _, via_alias = build_repos(ads, index_by_ontology=True)
-        assert via_mode.index_mode == via_alias.index_mode == "ontology"
-        _, disabled = build_repos(ads, index_by_ontology=False)
-        assert disabled.index_mode == "none"
-        query = BrokerQuery(ontology_name="healthcare", capabilities=("relational",))
-        assert names(via_mode.query(query)) == names(via_alias.query(query))
-        # Ontology-only mode does not prune on capabilities.
-        via_mode.stats.advertisements_reasoned_over = 0
-        via_mode.query(BrokerQuery(capabilities=("relational",)))
-        assert via_mode.stats.advertisements_reasoned_over == len(ads)
-
-    def test_unknown_index_mode_rejected(self):
-        with pytest.raises(BrokeringError):
-            BrokerRepository(index_mode="bogus")
 
 
 class TestAdvertisementLifecycle:
@@ -236,9 +226,10 @@ class TestMatchCache:
     def test_ontology_mutation_bumps_generation_and_invalidates(self, engine):
         """Regression: the generation stamp must also move when the
         shared ontology mutates, not only on advertise traffic — a
-        cached match list (or compiled columnar plane) built under the
-        old class hierarchy would otherwise survive an ontology update
-        and serve stale answers."""
+        cached match list built under the old class hierarchy would
+        otherwise survive an ontology update and serve stale answers.
+        (The plane itself stores exact names and expands closures per
+        query, so only the cache has anything to invalidate.)"""
         from repro.ontology import OntClass
 
         ontology = healthcare_ontology()
@@ -314,3 +305,125 @@ def test_property_index_is_invisible(ontologies, query_ontology):
         BrokerQuery(ontology_name=query_ontology, content_language="SQL 2.0"),
     ):
         assert names(scan.query(query)) == names(indexed.query(query))
+
+
+# ----------------------------------------------------------------------
+# stateful model of the maintained plane
+# ----------------------------------------------------------------------
+AGENTS = st.sampled_from([f"a{i}" for i in range(6)])
+CLASSES = ["patient", "provider", "physician", "podiatrist", "telemetry"]
+FUNCTIONS = ["query-processing", "relational", "select", "data-mining"]
+CONVERSATIONS = ["ask-all", "subscribe"]
+SLOTS = ["age", "cost", "code"]
+#: Simple intervals (array-resident), grouped-checker domains, an
+#: interval no float holds exactly, and an unsatisfiable conjunction.
+AD_CONSTRAINTS = [
+    "", "age between 20 and 60", "age > 50", "cost < 100",
+    "code in ('40W', '41X')", "code != '40W'",
+    "age between 9007199254740993 and 9007199254740999",
+    "age > 50 and age < 40",
+]
+QUERY_CONSTRAINTS = [
+    "", "age between 55 and 70", "age <= 50", "age = 60", "cost >= 100",
+    "code in ('41X', '42Y')", "code != '41X'", "age != 30",
+    "age between 9007199254740980 and 9007199254740992",
+]
+
+
+def subsets(pool, max_size):
+    return st.lists(st.sampled_from(pool), max_size=max_size,
+                    unique=True).map(tuple)
+
+
+@st.composite
+def agent_ads(draw):
+    ontology = draw(st.sampled_from(["healthcare", "finance", ""]))
+    return make_ad(
+        draw(AGENTS),
+        agent_type=draw(st.sampled_from(["resource", "query"])),
+        content_languages=draw(subsets(["SQL 2.0", "OQL"], 2)),
+        conversations=draw(subsets(CONVERSATIONS, 2)),
+        functions=draw(subsets(FUNCTIONS, 2)),
+        ontology=ontology,
+        classes=draw(subsets(CLASSES, 2)) if ontology else (),
+        slots=draw(subsets(SLOTS, 2)),
+        constraints=draw(st.sampled_from(AD_CONSTRAINTS)),
+        mobile=draw(st.booleans()),
+        response_time=draw(st.sampled_from([None, 5.0, 60.0])),
+    )
+
+
+@st.composite
+def broker_queries(draw):
+    ontology = draw(st.sampled_from([None, "healthcare", "finance"]))
+    return BrokerQuery(
+        agent_type=draw(st.sampled_from([None, None, "resource"])),
+        content_language=draw(st.sampled_from([None, None, "OQL"])),
+        conversations=draw(subsets(CONVERSATIONS, 1)),
+        capabilities=draw(subsets(FUNCTIONS, 1)),
+        ontology_name=ontology,
+        classes=draw(subsets(CLASSES, 1)) if ontology else (),
+        slots=draw(subsets(SLOTS, 2)),
+        constraints=parse_constraint(draw(st.sampled_from(QUERY_CONSTRAINTS))),
+        max_response_time=draw(st.sampled_from([None, None, 30.0])),
+        require_mobile=draw(st.sampled_from([None, None, True, False])),
+        allow_partial_slots=draw(st.booleans()),
+    )
+
+
+class MaintainedPlaneMachine(RuleBasedStateMachine):
+    """Every step mutates a plane-backed repository and the reference
+    scan alike, then checks a drawn query three ways."""
+
+    def __init__(self):
+        super().__init__()
+        context = MatchContext(ontologies={"healthcare": healthcare_ontology()})
+        self.scan = BrokerRepository(context, engine="direct", match_cache_size=0)
+        self.repo = BrokerRepository(context)
+        self.peak_live = 0
+
+    def check(self, query):
+        repo = self.repo
+        plane = repo._plane
+        expected = ranked(self.scan.query(query))
+        assert ranked(repo.query(query)) == expected
+        assert ranked(repo.query(query)) == expected  # now from the cache
+        assert ranked(plane.match(query, repo.context)[0]) == expected
+        fresh = ColumnarPlane.compile(repo.agent_ads(), repo.store.get_agent)
+        assert ranked(fresh.match(query, repo.context)[0]) == expected
+        # The free list works: no id beyond the peak live population.
+        assert len(plane) == repo.agent_count
+        self.peak_live = max(self.peak_live, repo.agent_count)
+        assert plane.capacity <= self.peak_live
+
+    @rule(ad=agent_ads(), query=broker_queries())
+    def advertise(self, ad, query):
+        # Over six names, most draws re-advertise with changed content.
+        self.scan.advertise(ad)
+        self.repo.advertise(ad)
+        self.check(query)
+
+    @rule(name=AGENTS, query=broker_queries())
+    def unadvertise(self, name, query):
+        assert self.repo.unadvertise(name) == self.scan.unadvertise(name)
+        self.check(query)
+
+    @rule(name=AGENTS, query=broker_queries())
+    def flip_to_broker(self, name, query):
+        self.scan.advertise(broker_ad(name))
+        self.repo.advertise(broker_ad(name))
+        assert name not in self.repo.agent_names()
+        self.check(query)
+
+    @rule(query=broker_queries())
+    def crash(self, query):
+        self.scan = self.scan.clone_empty()
+        self.repo = self.repo.clone_empty()
+        self.peak_live = 0
+        self.check(query)
+
+
+MaintainedPlaneMachine.TestCase.settings = settings(
+    max_examples=60, stateful_step_count=30, deadline=None
+)
+TestMaintainedPlane = MaintainedPlaneMachine.TestCase
