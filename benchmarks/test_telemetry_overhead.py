@@ -2,7 +2,7 @@
 
 Not a paper table: this measures what the PR-6 telemetry pipeline costs.
 The same failure-bearing chaos scenario (lossy links, query timeouts)
-runs five ways on the same seed:
+runs six ways on the same seed:
 
 * **untraced** — no observer at all (the bare fast path);
 * **metrics** — a :class:`~repro.obs.metrics.MetricsObserver` alone (the
@@ -10,6 +10,12 @@ runs five ways on the same seed:
 * **sampled** — a :class:`~repro.obs.sampling.SamplingTracer` at 1% head
   sampling with tail keep-worst promotion (the budgeted default);
 * **metrics+sampled** — the production observability stack;
+* **leave_on** — what an operator actually leaves attached, composed
+  through :func:`repro.obs.compose`: a 10% sampling tracer, the metrics
+  registry and the windowed time-series plane (the set the wall-clock
+  benchmark's ``flashcrowd_observed`` workload runs under), reported as
+  ``leave_on_over_unobserved`` (wall ratio) and
+  ``leave_on_us_per_message``;
 * **full** — the record-everything :class:`ConversationTracer`.
 
 Variants are timed *interleaved* (round-robin across repeats, minimum
@@ -52,6 +58,8 @@ QUICK = os.environ.get("REPRO_BENCH_QUICK", "") == "1"
 DURATION = 3_600.0 if QUICK else SIM_DURATION
 LOSS_RATE = 0.10
 SAMPLE_RATE = 0.01
+#: Head-sampling rate of the composed leave-on set's tracer.
+LEAVE_ON_SAMPLE_RATE = 0.1
 KEEP_SLOWEST = 64
 #: Wall-time repeats per variant (interleaved; the minimum is reported).
 REPEATS = 1 if QUICK else 4
@@ -70,6 +78,16 @@ def _base_config():
                         duration=DURATION, seed=7)
 
 
+def _leave_on():
+    """The composed leave-on set, as an operator would attach it."""
+    return obs.compose(
+        obs.SamplingTracer(obs.TraceBudget(
+            sample_rate=LEAVE_ON_SAMPLE_RATE, keep_slowest=KEEP_SLOWEST, seed=7)),
+        MetricsObserver(),
+        obs.TimeSeriesObserver(),
+    )
+
+
 def _variants(config):
     """name -> (config, observer factory or None)."""
     sampled_config = replace(config, trace_sample_rate=SAMPLE_RATE,
@@ -79,6 +97,7 @@ def _variants(config):
         "metrics": (config, MetricsObserver),
         "sampled": (sampled_config, None),
         "metrics_sampled": (sampled_config, MetricsObserver),
+        "leave_on": (config, _leave_on),
         "full": (config, obs.ConversationTracer),
     }
 
@@ -150,6 +169,9 @@ def test_telemetry_overhead_and_retention(once):
         (walls["sampled"] - wall_untraced) / max(1, messages) * 1e6)
     marginal_vs_metrics = (
         (walls["metrics_sampled"] - walls["metrics"]) / walls["metrics"])
+    leave_on_over_unobserved = walls["leave_on"] / wall_untraced
+    leave_on_us_per_message = (
+        (walls["leave_on"] - wall_untraced) / max(1, messages) * 1e6)
     failed_full = _failed_roots(full.spans)
     failed_sampled = _failed_roots(sampled.spans)
     span_retention = len(sampled.spans) / max(1, len(full.spans))
@@ -158,10 +180,12 @@ def test_telemetry_overhead_and_retention(once):
     print()
     print(f"{'variant':<18}{'wall (s)':>10}{'overhead':>10}")
     print(f"{'untraced':<18}{wall_untraced:>10.3f}{'-':>10}")
-    for name in ("metrics", "sampled", "metrics_sampled", "full"):
+    for name in ("metrics", "sampled", "metrics_sampled", "leave_on", "full"):
         print(f"{name:<18}{walls[name]:>10.3f}{overhead[name]:>10.1%}")
     print(f"messages={messages}  tracer cost={tracer_us_per_message:.1f} "
           f"us/message  marginal over metrics={marginal_vs_metrics:.1%}")
+    print(f"leave-on set: {leave_on_over_unobserved:.2f}x un-observed wall, "
+          f"{leave_on_us_per_message:.1f} us/message")
     print(f"failed conversations: full={len(failed_full)} "
           f"sampled={len(failed_sampled)}; sampling stats={stats.as_dict()}")
 
@@ -204,6 +228,8 @@ def test_telemetry_overhead_and_retention(once):
                 "overhead_full_vs_untraced": overhead["full"],
                 "overhead_sampled_vs_metrics_baseline": marginal_vs_metrics,
                 "tracer_us_per_message": tracer_us_per_message,
+                "leave_on_over_unobserved": leave_on_over_unobserved,
+                "leave_on_us_per_message": leave_on_us_per_message,
                 "failed_conversations": len(failed_full),
                 "failed_retained": len(failed_sampled),
                 "failed_retention": len(failed_sampled) / len(failed_full),

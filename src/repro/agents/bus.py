@@ -29,7 +29,8 @@ from typing import Callable, Dict, List, Optional, TYPE_CHECKING
 from repro.agents.costs import CostModel
 from repro.agents.errors import AgentError
 from repro.kqml import KqmlMessage, Performative
-from repro.obs.events import NULL_OBSERVER, Observer, compose, summarize_content
+from repro.obs.events import (NULL_OBSERVER, LazyInstruments, Observer, compose,
+                              summarize_content)
 from repro.obs.metrics import Gauge
 from repro.obs.profiler import PROFILER
 
@@ -139,6 +140,16 @@ class MessageLogObserver(Observer):
         ))
 
 
+#: The bus's own per-message series: attribute -> (factory, name).
+_BUS_SERIES = {
+    "queue_depth": ("bind_gauge", "bus.queue.depth"),
+    "inflight": ("bind_gauge", "bus.inflight"),
+    "mailbox_offered": ("bind_counter", "bus.mailbox.offered"),
+    "mailbox_accepted": ("bind_counter", "bus.mailbox.accepted"),
+    "shed_expired": ("bind_counter", "bus.shed.expired"),
+}
+
+
 def format_message_trace(trace) -> str:
     """Render a recorded trace as a textual sequence diagram — the shape
     of the paper's Figures 5-7.
@@ -216,9 +227,7 @@ class MessageBus:
         self._base_observer = (
             observer if observer is not None else _obs.current()
         )
-        #: The effective observer every hook goes through; NULL_OBSERVER
-        #: by default, so instrumented paths never branch.
-        self.observer: Observer = self._base_observer
+        self._rebuild_observer()
 
     # ------------------------------------------------------------------
     # observability
@@ -229,7 +238,18 @@ class MessageBus:
         self._rebuild_observer()
 
     def _rebuild_observer(self) -> None:
-        self.observer = compose(self._base_observer, self._trace_observer)
+        """The one place the effective observer changes (construction,
+        :meth:`set_observer`, the ``trace`` setter): everything the bus
+        derives from it is derived again here."""
+        #: The effective observer every hook goes through; NULL_OBSERVER
+        #: by default, so instrumented paths never branch.
+        self.observer: Observer = compose(self._base_observer,
+                                          self._trace_observer)
+        #: Whether the bus's own series have a consumer, and the series
+        #: themselves — re-bound here so that no instrument outlives the
+        #: observer it was bound to.
+        self._metrics: bool = self.observer.wants_metrics
+        self._instruments = LazyInstruments(self.observer, _BUS_SERIES)
 
     @property
     def trace(self) -> Optional[List[TraceEntry]]:
@@ -369,7 +389,7 @@ class MessageBus:
         else:
             self.stats.shed_new += 1
         self.observer.message_dropped(self.now, message, reason=reason)
-        if self.observer.wants_metrics:
+        if self._metrics:
             self.observer.inc("bus.shed.count", policy=self._mailbox_policy)
 
     def _admit(self, message: KqmlMessage, when: float) -> bool:
@@ -433,13 +453,13 @@ class MessageBus:
     def _enqueue(self, message: KqmlMessage, when: float, size: float) -> None:
         if self._mailbox_capacity is not None and self._sheddable(message):
             self.stats.mailbox_offered += 1
-            if self.observer.wants_metrics:
-                self.observer.inc("bus.mailbox.offered")
+            if self._metrics:
+                self._instruments.mailbox_offered.inc()
             if not self._admit(message, when):
                 return
             self.stats.mailbox_accepted += 1
-            if self.observer.wants_metrics:
-                self.observer.inc("bus.mailbox.accepted")
+            if self._metrics:
+                self._instruments.mailbox_accepted.inc()
             delivery_id = next(self._delivery_ids)
             box = self._mailboxes.setdefault(message.receiver, OrderedDict())
             box[delivery_id] = message
@@ -564,9 +584,10 @@ class MessageBus:
         self.stats.queue_depth.set(float(depth))
         # Emit the *current* depth on every transition (dequeue too), so
         # the gauge decays instead of sticking at the high-water mark.
-        if self.observer.wants_metrics:
-            self.observer.gauge("bus.queue.depth", float(depth))
-            self.observer.gauge("bus.inflight", float(self._inflight_total))
+        if self._metrics:
+            instruments = self._instruments
+            instruments.queue_depth.set(float(depth))
+            instruments.inflight.set(float(self._inflight_total))
 
     def _track_dequeue(self, receiver: str) -> None:
         self._inflight_total -= 1
@@ -576,9 +597,10 @@ class MessageBus:
         else:
             self._inflight[receiver] = depth
         self.stats.queue_depth.set(float(max(depth, 0)))
-        if self.observer.wants_metrics:
-            self.observer.gauge("bus.queue.depth", float(max(depth, 0)))
-            self.observer.gauge("bus.inflight", float(self._inflight_total))
+        if self._metrics:
+            instruments = self._instruments
+            instruments.queue_depth.set(float(max(depth, 0)))
+            instruments.inflight.set(float(self._inflight_total))
 
     def _deliver(self, message: KqmlMessage, time: float, size: float,
                  delivery_id: Optional[int] = None) -> None:
@@ -606,8 +628,8 @@ class MessageBus:
             # handler would burn matcher time on a dead request.
             self.stats.shed_expired += 1
             self.observer.message_dropped(time, message, reason="expired")
-            if self.observer.wants_metrics:
-                self.observer.inc("bus.shed.expired")
+            if self._metrics:
+                self._instruments.shed_expired.inc()
             if delivery_id is not None:
                 self._mailbox_depth[message.receiver] -= 1
             return

@@ -8,7 +8,8 @@ for every future optimisation PR.  Three cooperating pieces:
   instrumented code (the bus, the broker, the matcher, the simulator)
   talks to an observer unconditionally; the default observer is a
   do-nothing singleton, so un-instrumented runs never branch and never
-  allocate.
+  allocate.  A series reported on every event is bound once
+  (``observer.bind_gauge(name)`` returns an :class:`Instrument`).
 * :mod:`repro.obs.metrics` — a process-local registry of counters,
   gauges and fixed-bucket histograms (no external dependencies), plus
   the :class:`MetricsObserver` that feeds it.
@@ -51,9 +52,12 @@ from contextlib import contextmanager
 from typing import List
 
 from repro.obs.events import (
+    NULL_INSTRUMENT,
     NULL_OBSERVER,
     CompositeObserver,
     Event,
+    Instrument,
+    InstrumentedObserver,
     MessageRecord,
     Observer,
     compose,
@@ -126,6 +130,7 @@ from repro.obs.tracing import ConversationTracer, Span
 
 __all__ = [
     "DEFAULT_SLOS",
+    "NULL_INSTRUMENT",
     "NULL_OBSERVER",
     "PROFILER",
     "REJECT_REASONS",
@@ -144,6 +149,8 @@ __all__ = [
     "Histogram",
     "HopGraph",
     "Indicator",
+    "Instrument",
+    "InstrumentedObserver",
     "MessageRecord",
     "MetricsObserver",
     "MetricsRegistry",

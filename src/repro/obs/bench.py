@@ -154,7 +154,8 @@ def _extract_telemetry(data: Mapping, source: str) -> List[Indicator]:
     # deterministic ones — retention is a count ratio fixed by the seed.
     for key in ("overhead_sampled_vs_untraced", "overhead_full_vs_untraced",
                 "overhead_sampled_vs_metrics_baseline",
-                "tracer_us_per_message"):
+                "tracer_us_per_message", "leave_on_over_unobserved",
+                "leave_on_us_per_message"):
         if key in data:
             out.append(Indicator(f"telemetry.{key}", float(data[key]),
                                  "lower", source, checked=False))

@@ -36,7 +36,7 @@ import bisect
 import json
 from typing import Dict, Iterable, Optional, Tuple
 
-from repro.obs.events import Observer
+from repro.obs.events import IdentityMemo, InstrumentedObserver, LazyInstruments
 
 #: Default histogram bucket upper bounds (seconds): geometric, covering
 #: microsecond wall-clock matching up to multi-minute virtual latencies.
@@ -167,12 +167,31 @@ def _key(name: str, labels: Dict[str, object]) -> str:
     return f"{name}{{{rendered}}}"
 
 
-def _split_key(key: str) -> Tuple[str, str]:
-    """A stored registry key back into (name, label-body or '')."""
-    brace = key.find("{")
-    if brace < 0:
-        return key, ""
-    return key[:brace], key[brace + 1 : -1]
+class MetricKey(str):
+    """A rendered series key (``name{k=v,...}``, label names sorted)
+    that still carries its parts: :attr:`name`, and :attr:`labels` as
+    sorted ``(label, rendered value)`` pairs.  Exporters that need the
+    structure read it here instead of re-parsing the text, which a
+    ``,`` or ``=`` inside a label value would make ambiguous."""
+
+    __slots__ = ("name", "labels")
+
+
+#: The interned keys, shared by the registry and the time-series plane:
+#: each distinct identity is sorted and rendered once per process.
+_KEYS = IdentityMemo()
+
+
+def metric_key(name: str, labels: Dict[str, object]) -> MetricKey:
+    """The :class:`MetricKey` of *name* + *labels*, interned."""
+    try:
+        return _KEYS[(name, *labels.items()) if labels else name]
+    except (KeyError, TypeError):
+        pass
+    key = MetricKey(_key(name, labels))
+    key.name = name
+    key.labels = tuple((k, str(labels[k])) for k in sorted(labels))
+    return _KEYS.remember(name, labels, key)
 
 
 def _prom_name(name: str) -> str:
@@ -182,21 +201,19 @@ def _prom_name(name: str) -> str:
     )
 
 
-def _prom_labels(body: str, extra: str = "") -> str:
-    """``k=v,k2=v2`` label bodies into ``{k="v",k2="v2"}`` (quoted).
+def _prom_labels(pairs: Iterable[Tuple[str, str]], extra: str = "") -> str:
+    """``(label, value)`` pairs into ``{k="v",k2="v2"}`` (quoted).
 
     Label values follow the exposition-format escaping rules: backslash,
     double-quote, and newline must all be escaped or a hostile label
     value (an agent named ``a"}\\n``) corrupts every line after it.
     """
     parts = []
-    if body:
-        for pair in body.split(","):
-            k, _, v = pair.partition("=")
-            escaped = (v.replace("\\", "\\\\")
-                        .replace('"', '\\"')
-                        .replace("\n", "\\n"))
-            parts.append(f'{_prom_name(k)}="{escaped}"')
+    for k, v in pairs:
+        escaped = (v.replace("\\", "\\\\")
+                    .replace('"', '\\"')
+                    .replace("\n", "\\n"))
+        parts.append(f'{_prom_name(k)}="{escaped}"')
     if extra:
         parts.append(extra)
     return "{" + ",".join(parts) + "}" if parts else ""
@@ -206,26 +223,27 @@ class MetricsRegistry:
     """Get-or-create storage for named metrics.
 
     Metrics are keyed by name plus sorted labels, rendered Prometheus
-    style: ``bus.delivered.count{performative=tell}``.
+    style: ``bus.delivered.count{performative=tell}`` (an interned
+    :class:`MetricKey`, so the key also knows its label pairs).
     """
 
     def __init__(self):
-        self._counters: Dict[str, Counter] = {}
-        self._gauges: Dict[str, Gauge] = {}
-        self._histograms: Dict[str, Histogram] = {}
+        self._counters: Dict[MetricKey, Counter] = {}
+        self._gauges: Dict[MetricKey, Gauge] = {}
+        self._histograms: Dict[MetricKey, Histogram] = {}
 
     # ------------------------------------------------------------------
     # access
     # ------------------------------------------------------------------
     def counter(self, name: str, **labels) -> Counter:
-        key = _key(name, labels)
+        key = metric_key(name, labels)
         metric = self._counters.get(key)
         if metric is None:
             metric = self._counters[key] = Counter()
         return metric
 
     def gauge(self, name: str, **labels) -> Gauge:
-        key = _key(name, labels)
+        key = metric_key(name, labels)
         metric = self._gauges.get(key)
         if metric is None:
             metric = self._gauges[key] = Gauge()
@@ -233,7 +251,7 @@ class MetricsRegistry:
 
     def histogram(self, name: str, buckets: Optional[Iterable[float]] = None,
                   **labels) -> Histogram:
-        key = _key(name, labels)
+        key = metric_key(name, labels)
         metric = self._histograms.get(key)
         if metric is None:
             metric = self._histograms[key] = Histogram(buckets)
@@ -260,11 +278,12 @@ class MetricsRegistry:
         return {
             "schema": self.SNAPSHOT_SCHEMA_VERSION,
             "at": at,
-            "counters": {k: c.snapshot() for k, c in sorted(self._counters.items())},
-            "gauges": {k: g.snapshot() for k, g in sorted(self._gauges.items())},
-            "histograms": {
-                k: h.snapshot() for k, h in sorted(self._histograms.items())
-            },
+            "counters": {str(k): c.snapshot()
+                         for k, c in sorted(self._counters.items())},
+            "gauges": {str(k): g.snapshot()
+                       for k, g in sorted(self._gauges.items())},
+            "histograms": {str(k): h.snapshot()
+                           for k, h in sorted(self._histograms.items())},
         }
 
     def to_json(self, indent: int = 2, at: Optional[float] = None) -> str:
@@ -286,16 +305,14 @@ class MetricsRegistry:
                 lines.append(f"# TYPE {family} {kind}")
 
         for key, counter in sorted(self._counters.items()):
-            name, body = _split_key(key)
-            family = _prom_name(name)
+            family = _prom_name(key.name)
             header(family, "counter")
-            lines.append(f"{family}{_prom_labels(body)} {counter.value}")
+            lines.append(f"{family}{_prom_labels(key.labels)} {counter.value}")
         gauges = sorted(self._gauges.items())
         for key, gauge in gauges:
-            name, body = _split_key(key)
-            family = _prom_name(name)
+            family = _prom_name(key.name)
             header(family, "gauge")
-            lines.append(f"{family}{_prom_labels(body)} {gauge.value}")
+            lines.append(f"{family}{_prom_labels(key.labels)} {gauge.value}")
         # Peak/min envelopes as their own families (grouped after the
         # value series so each family stays contiguous under its TYPE).
         for suffix, attr in (("_max", "max"), ("_min", "min")):
@@ -303,85 +320,102 @@ class MetricsRegistry:
                 extreme = getattr(gauge, attr)
                 if extreme is None:
                     continue
-                name, body = _split_key(key)
-                family = _prom_name(name) + suffix
+                family = _prom_name(key.name) + suffix
                 header(family, "gauge")
-                lines.append(f"{family}{_prom_labels(body)} {extreme}")
+                lines.append(f"{family}{_prom_labels(key.labels)} {extreme}")
         for key, hist in sorted(self._histograms.items()):
-            name, body = _split_key(key)
-            family = _prom_name(name)
+            family = _prom_name(key.name)
             header(family, "histogram")
             cumulative = 0
             for bound, bucket_count in zip(hist.bounds, hist.counts):
                 cumulative += bucket_count
-                labels = _prom_labels(body, extra=f'le="{bound}"')
+                labels = _prom_labels(key.labels, extra=f'le="{bound}"')
                 lines.append(f"{family}_bucket{labels} {cumulative}")
-            labels = _prom_labels(body, extra='le="+Inf"')
+            labels = _prom_labels(key.labels, extra='le="+Inf"')
             lines.append(f"{family}_bucket{labels} {hist.count}")
-            lines.append(f"{family}_sum{_prom_labels(body)} {hist.sum}")
-            lines.append(f"{family}_count{_prom_labels(body)} {hist.count}")
+            lines.append(f"{family}_sum{_prom_labels(key.labels)} {hist.sum}")
+            lines.append(f"{family}_count{_prom_labels(key.labels)} {hist.count}")
         return "\n".join(lines) + "\n" if lines else ""
 
 
-class MetricsObserver(Observer):
+class MetricsObserver(InstrumentedObserver):
     """Maps observer hooks onto a :class:`MetricsRegistry`.
 
-    The transport hooks populate the ``bus.*`` metrics; the generic
-    ``inc``/``observe``/``gauge`` hooks pass straight through, so agent
+    The transport hooks populate the ``bus.*`` metrics; a bound
+    instrument is the registry's metric object itself, and the generic
+    ``inc``/``observe``/``gauge`` hooks reach the same objects through
+    :class:`~repro.obs.events.InstrumentedObserver`'s memo, so agent
     instrumentation (``broker.*``, ``mrq.*``, ``monitor.*``, ``sim.*``)
     lands in the same registry.
     """
 
-    enabled = True
-    wants_metrics = True
     # Duplicate deliveries must stay out of the latency histograms.
     wants_dedup = True
 
+    #: The unlabelled transport series: attribute -> (factory, name).
+    _TRANSPORT_SERIES = {
+        "sent": ("bind_counter", "bus.sent.count"),
+        "delivered": ("bind_counter", "bus.delivered.count"),
+        "dedup": ("bind_counter", "bus.delivered.dedup"),
+        "queue_seconds": ("bind_histogram", "bus.queue.seconds"),
+        "dropped": ("bind_counter", "bus.dropped.count"),
+        "timers": ("bind_counter", "bus.timers.count"),
+    }
+
     def __init__(self, registry: Optional[MetricsRegistry] = None):
+        super().__init__()
         self.registry = registry if registry is not None else MetricsRegistry()
+        self._transport = LazyInstruments(self, self._TRANSPORT_SERIES)
+        #: performative -> its (count, bytes) delivery counters, bound
+        #: on the first delivery of that performative.
+        self._delivered: Dict[str, Tuple[Counter, Counter]] = {}
+
+    # -- bound instruments: the registry's own metric objects ----------
+    def bind_counter(self, name, **labels):
+        return self.registry.counter(name, **labels)
+
+    def bind_gauge(self, name, **labels):
+        return self.registry.gauge(name, **labels)
+
+    def bind_histogram(self, name, **labels):
+        return self.registry.histogram(name, **labels)
 
     # -- transport ------------------------------------------------------
     def message_sent(self, time, message, size_bytes, cause=None):
-        self.registry.counter("bus.sent.count").inc()
+        self._transport.sent.inc()
 
     def message_delivered(self, time, message, queue_time=0.0, size_bytes=0.0,
                           dedup=False):
         performative = message.performative.value
-        self.registry.counter("bus.delivered.count").inc()
-        self.registry.counter("bus.delivered.count",
-                              performative=performative).inc()
-        self.registry.counter("bus.delivered.bytes",
-                              performative=performative).inc(size_bytes)
+        bound = self._delivered.get(performative)
+        if bound is None:
+            bound = self._delivered[performative] = (
+                self.registry.counter("bus.delivered.count",
+                                      performative=performative),
+                self.registry.counter("bus.delivered.bytes",
+                                      performative=performative),
+            )
+        transport = self._transport
+        transport.delivered.inc()
+        bound[0].inc()
+        bound[1].inc(size_bytes)
         if dedup:
             # A duplicated delivery the receiver will suppress: count it,
             # but keep it out of the latency histogram — a retry echo
             # says nothing about real queueing behaviour.
-            self.registry.counter("bus.delivered.dedup").inc()
+            transport.dedup.inc()
             return
-        self.registry.histogram("bus.queue.seconds").observe(queue_time)
+        transport.queue_seconds.observe(queue_time)
 
     def message_dropped(self, time, message, reason="offline"):
-        self.registry.counter("bus.dropped.count").inc()
-        self.registry.counter(f"bus.drop.{reason}").inc()
+        self._transport.dropped.inc()
+        self.inc(f"bus.drop.{reason}")
 
     def timer_fired(self, time, agent_name):
-        self.registry.counter("bus.timers.count").inc()
+        self._transport.timers.inc()
 
     def conversation_timeout(self, time, agent_name, reply_id):
-        self.registry.counter("agent.reply.timeout",
-                              agent=agent_name).inc()
+        self.inc("agent.reply.timeout", agent=agent_name)
 
     def region(self, agent_name, name, start, end, **attrs):
-        self.registry.histogram("region.seconds", region=name).observe(
-            max(0.0, end - start)
-        )
-
-    # -- generic --------------------------------------------------------
-    def inc(self, name, value=1.0, **labels):
-        self.registry.counter(name, **labels).inc(value)
-
-    def observe(self, name, value, **labels):
-        self.registry.histogram(name, **labels).observe(value)
-
-    def gauge(self, name, value, **labels):
-        self.registry.gauge(name, **labels).set(value)
+        self.observe("region.seconds", max(0.0, end - start), region=name)

@@ -34,8 +34,8 @@ from collections import OrderedDict, deque
 from typing import Deque, Dict, Iterable, List, Optional, Tuple
 
 from repro.kqml.performatives import EXPECTS_REPLY
-from repro.obs.events import Observer
-from repro.obs.metrics import Gauge, Histogram, _key
+from repro.obs.events import Instrument, InstrumentedObserver
+from repro.obs.metrics import Gauge, Histogram, metric_key
 
 #: Duration sketch bounds (virtual seconds): geometric, spanning one
 #: network hop up to the reply-timeout scale the simulator uses.
@@ -134,6 +134,9 @@ class TimeSeries:
         self.windows: Deque[Window] = deque()
         self._by_index: Dict[int, Window] = {}
         self._current: Optional[Window] = None
+        #: The last time resolved to ``_current``: hooks arrive in runs
+        #: at one virtual instant, which skips even the index division.
+        self._current_time: Optional[float] = None
         #: Events older than every retained window (dropped, counted).
         self.late_dropped = 0
         #: Windows evicted to stay within capacity.
@@ -148,13 +151,15 @@ class TimeSeries:
     def window(self, time: float) -> Optional[Window]:
         """The window covering *time* (created if needed); None when
         that window was already evicted."""
+        if time == self._current_time:
+            return self._current
         index = int(time // self.width_s)
-        current = self._current
-        if current is not None and current.index == index:
-            return current
-        window = self._by_index.get(index)
+        window = self._current
+        if window is None or window.index != index:
+            window = self._by_index.get(index)
         if window is not None:
             self._current = window
+            self._current_time = time
             return window
         if self.windows and index < self.windows[0].index:
             self.late_dropped += 1
@@ -169,12 +174,13 @@ class TimeSeries:
             self.windows.insert(position, window)
         self._by_index[index] = window
         self._current = window
+        self._current_time = time
         if len(self.windows) > self.capacity:
             oldest = self.windows.popleft()
             del self._by_index[oldest.index]
             self.evicted += 1
             if self._current is oldest:  # pragma: no cover - capacity 1
-                self._current = None
+                self._current = self._current_time = None
         return window
 
 
@@ -190,11 +196,102 @@ def render_key(key: tuple) -> str:
     if kind in ("use.shed", "use.drops"):
         return f"{kind}{{reason={key[1]}}}"
     if kind == "metric":
-        return key[1]
+        return str(key[1])
     return ".".join(str(part) for part in key)
 
 
-class TimeSeriesObserver(Observer):
+class _WindowInstrument(Instrument):
+    """A pass-through series of the plane, bound to its rendered key.
+    The generic hooks carry no timestamp, so every touch lands in the
+    window of the plane's last transport hook."""
+
+    __slots__ = ("_plane", "_key")
+
+    def __init__(self, plane: "TimeSeriesObserver", key):
+        self._plane = plane
+        self._key = key
+
+
+class _WindowCounter(_WindowInstrument):
+    __slots__ = ()
+
+    def inc(self, value=1.0):
+        plane = self._plane
+        window = plane.series.window(plane._now)
+        if window is not None:
+            counters = window.counters
+            counters[self._key] = counters.get(self._key, 0.0) + value
+
+
+class _BreakerCounter(_WindowCounter):
+    """``broker.breaker.open`` / ``close``: also moves the plane's net
+    open-breaker gauge by *step* per unit counted."""
+
+    __slots__ = ("_step",)
+
+    def __init__(self, plane, key, step: float):
+        super().__init__(plane, key)
+        self._step = step
+
+    def inc(self, value=1.0):
+        plane = self._plane
+        window = plane.series.window(plane._now)
+        if window is None:
+            return
+        super().inc(value)
+        plane._breakers_open = max(0.0, plane._breakers_open + self._step * value)
+        gauge = window.gauges.get("use.breakers.open")
+        if gauge is None:
+            gauge = window.gauges["use.breakers.open"] = Gauge()
+        gauge.set(plane._breakers_open)
+
+
+class _WindowMetric(_WindowInstrument):
+    """A gauge or sketch: remembers its metric object in the window it
+    last touched, so a run of touches inside one window skips the
+    window's dict."""
+
+    __slots__ = ("_window", "_metric")
+
+    def __init__(self, plane, key):
+        super().__init__(plane, key)
+        self._window: Optional[Window] = None
+
+    def _enter(self, window: Window, metrics: dict, factory) -> None:
+        metric = metrics.get(self._key)
+        if metric is None:
+            metric = metrics[self._key] = factory()
+        self._window = window
+        self._metric = metric
+
+
+class _WindowGauge(_WindowMetric):
+    __slots__ = ()
+
+    def set(self, value):
+        plane = self._plane
+        window = plane.series.window(plane._now)
+        if window is None:
+            return
+        if window is not self._window:
+            self._enter(window, window.gauges, Gauge)
+        self._metric.set(value)
+
+
+class _WindowSketch(_WindowMetric):
+    __slots__ = ()
+
+    def observe(self, value):
+        plane = self._plane
+        window = plane.series.window(plane._now)
+        if window is None:
+            return
+        if window is not self._window:
+            self._enter(window, window.sketches, QuantileSketch)
+        self._metric.observe(value)
+
+
+class TimeSeriesObserver(InstrumentedObserver):
     """Derives windowed RED/USE series from the standard observer hooks.
 
     **RED** (per receiver role and performative; roles are agent names
@@ -228,8 +325,6 @@ class TimeSeriesObserver(Observer):
     hook.
     """
 
-    enabled = True
-    wants_metrics = True
     # No dedup probing: the rate series counts deliveries as the bus
     # performs them, and a per-message cache probe is not worth the
     # per-message budget for a live dashboard.
@@ -237,6 +332,7 @@ class TimeSeriesObserver(Observer):
 
     def __init__(self, window_s: float = 60.0, capacity: int = 240,
                  pending_limit: int = 4096, max_tracked_agents: int = 64):
+        super().__init__()
         self.series = TimeSeries(window_s, capacity)
         #: (requester, reply_id) -> (sent_at, server_role, performative);
         #: LRU-bounded so abandoned conversations cannot grow it.
@@ -352,43 +448,22 @@ class TimeSeriesObserver(Observer):
         window.counters[key] = window.counters.get(key, 0.0) + 1.0
 
     # ------------------------------------------------------------------
-    # generic metric hooks (timestamped by the enclosing transport hook)
+    # bound instruments (timestamped by the enclosing transport hook);
+    # the generic string hooks reach them through InstrumentedObserver
     # ------------------------------------------------------------------
-    def inc(self, name, value=1.0, **labels):
-        window = self.series.window(self._now)
-        if window is None:
-            return
-        key = ("metric", _key(name, labels))
-        window.counters[key] = window.counters.get(key, 0.0) + value
-        if name == "broker.breaker.open" or name == "broker.breaker.close":
-            if name == "broker.breaker.open":
-                self._breakers_open += value
-            else:
-                self._breakers_open = max(0.0, self._breakers_open - value)
-            gauge = window.gauges.get("use.breakers.open")
-            if gauge is None:
-                gauge = window.gauges["use.breakers.open"] = Gauge()
-            gauge.set(self._breakers_open)
+    def bind_counter(self, name, **labels):
+        key = ("metric", metric_key(name, labels))
+        if name == "broker.breaker.open":
+            return _BreakerCounter(self, key, 1.0)
+        if name == "broker.breaker.close":
+            return _BreakerCounter(self, key, -1.0)
+        return _WindowCounter(self, key)
 
-    def observe(self, name, value, **labels):
-        window = self.series.window(self._now)
-        if window is None:
-            return
-        key = ("metric", _key(name, labels))
-        sketch = window.sketches.get(key)
-        if sketch is None:
-            sketch = window.sketches[key] = QuantileSketch()
-        sketch.observe(value)
+    def bind_histogram(self, name, **labels):
+        return _WindowSketch(self, ("metric", metric_key(name, labels)))
 
-    def gauge(self, name, value, **labels):
-        window = self.series.window(self._now)
-        if window is None:
-            return
-        key = _key(name, labels) if labels else name
-        gauge = window.gauges.get(key)
-        if gauge is None:
-            gauge = window.gauges[key] = Gauge()
-        gauge.set(value)
+    def bind_gauge(self, name, **labels):
+        return _WindowGauge(self, metric_key(name, labels))
 
     # ------------------------------------------------------------------
     # export
@@ -406,7 +481,7 @@ class TimeSeriesObserver(Observer):
                 "counters": {render_key(k): v
                              for k, v in sorted(window.counters.items(),
                                                 key=lambda kv: render_key(kv[0]))},
-                "gauges": {k: g.snapshot()
+                "gauges": {str(k): g.snapshot()
                            for k, g in sorted(window.gauges.items())},
                 "sketches": {render_key(k): s.snapshot()
                              for k, s in sorted(window.sketches.items(),

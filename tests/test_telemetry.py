@@ -249,8 +249,9 @@ class TestCompositeFanOut:
         assert composite.inc.__self__ is metrics
         assert composite.gauge.__self__ is metrics
         assert composite.annotate.__self__ is tracer
-        # Both children trace deliveries, so that hook stays a loop.
-        assert "message_delivered" not in composite.__dict__
+        # Both children trace deliveries, so that hook is the compiled
+        # fan-out — a plain function, neither child's bound method.
+        assert not hasattr(composite.message_delivered, "__self__")
 
     def test_unimplemented_hooks_become_noops(self):
         composite = CompositeObserver([MetricsObserver()])
@@ -338,6 +339,24 @@ class TestPrometheusEscaping:
             r'|[a-zA-Z_:][a-zA-Z0-9_:]*(\{[^\n]*\})? [^ \n]+)$')
         for line in text.strip().splitlines():
             assert line_re.match(line), f"corrupt exposition line: {line!r}"
+
+    def test_separators_inside_a_value_do_not_mint_labels(self):
+        # The registry key renders labels as ``k=v,k2=v2``; the
+        # exposition must come from the label pairs, not from splitting
+        # that text, or ``peer="a,b=c"`` grows a spurious ``b`` label.
+        registry = MetricsRegistry()
+        registry.counter("x.count", peer="a,b=c").inc()
+        registry.gauge("x.depth", peer="{a}", zone="z=1").set(2.0)
+        registry.histogram("x.lat", buckets=(1.0,), peer="k=v,{w}").observe(0.5)
+        text = registry.render_prometheus()
+        assert 'x_count{peer="a,b=c"} 1.0' in text
+        assert 'x_depth{peer="{a}",zone="z=1"} 2.0' in text
+        assert 'x_depth_max{peer="{a}",zone="z=1"} 2.0' in text
+        assert 'x_lat_bucket{peer="k=v,{w}",le="1.0"} 1' in text
+        assert 'x_lat_count{peer="k=v,{w}"} 1' in text
+        assert 'b="' not in text and 'w="' not in text
+        # The registry key itself is unchanged (snapshots stay as they were).
+        assert "x.count{peer=a,b=c}" in registry.snapshot()["counters"]
 
     def test_plain_labels_round_trip_unchanged(self):
         registry = MetricsRegistry()
