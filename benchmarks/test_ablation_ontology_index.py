@@ -6,8 +6,8 @@ constrain is a posting list of the columnar plane, behind a
 fingerprint-keyed match cache.  This ablation isolates the two steps on
 a 600-advertisement, 8-domain repository:
 
-* ``scan``        — ``engine="direct"``, no cache: the per-ad matcher
-  over every stored advertisement;
+* ``scan``        — :func:`match_advertisements`, the per-ad matcher
+  function over every advertisement (no repository);
 * ``plane``       — posting intersection instead of the walk, no cache;
 * ``plane+cache`` — the production default.
 
@@ -19,7 +19,12 @@ Match results are identical across all variants; only the work changes.
 
 import time
 
-from repro.core import BrokerQuery, BrokerRepository, MatchContext
+from repro.core import (
+    BrokerQuery,
+    BrokerRepository,
+    MatchContext,
+    match_advertisements,
+)
 from repro.experiments import format_table
 from tests.test_core_matcher import make_ad
 
@@ -27,34 +32,46 @@ N_ADS = 600
 N_DOMAINS = 8
 N_QUERIES = 100
 
+
+def community():
+    return [
+        make_ad(
+            f"agent{i}",
+            ontology=f"domain{i % N_DOMAINS}",
+            classes=(),
+            # (i // N_DOMAINS) decorrelates the conversation split
+            # from the domain assignment: half of *every* domain.
+            conversations=(
+                ("ask-all", "subscribe")
+                if (i // N_DOMAINS) % 2
+                else ("ask-all",)
+            ),
+        )
+        for i in range(N_ADS)
+    ]
+
+
+def scan():
+    ads, context = community(), MatchContext()
+    return lambda query: match_advertisements(query, ads, context)
+
+
+def repository(**kwargs):
+    repo = BrokerRepository(MatchContext(), **kwargs)
+    for ad in community():
+        repo.advertise(ad)
+    return repo.query
+
+
+#: Variant -> builder of its ``answer(query)`` function.
 VARIANTS = {
-    "scan": dict(engine="direct", match_cache_size=0),
-    "plane": dict(match_cache_size=0),
-    "plane+cache": dict(),
+    "scan": scan,
+    "plane": lambda: repository(match_cache_size=0),
+    "plane+cache": repository,
 }
 
 
-def build(**kwargs) -> BrokerRepository:
-    repo = BrokerRepository(MatchContext(), **kwargs)
-    for i in range(N_ADS):
-        repo.advertise(
-            make_ad(
-                f"agent{i}",
-                ontology=f"domain{i % N_DOMAINS}",
-                classes=(),
-                # (i // N_DOMAINS) decorrelates the conversation split
-                # from the domain assignment: half of *every* domain.
-                conversations=(
-                    ("ask-all", "subscribe")
-                    if (i // N_DOMAINS) % 2
-                    else ("ask-all",)
-                ),
-            )
-        )
-    return repo
-
-
-def run_queries(repo: BrokerRepository) -> float:
+def run_queries(answer) -> float:
     started = time.perf_counter()
     for i in range(N_QUERIES):
         # Half the queries constrain a non-ontology dimension too, so
@@ -63,7 +80,7 @@ def run_queries(repo: BrokerRepository) -> float:
             ontology_name=f"domain{i % N_DOMAINS}",
             conversations=("subscribe",) if i % 2 else (),
         )
-        matches = repo.query(query)
+        matches = answer(query)
         per_domain = N_ADS // N_DOMAINS
         expected = per_domain // 2 if i % 2 else per_domain
         assert len(matches) == expected
@@ -73,8 +90,8 @@ def run_queries(repo: BrokerRepository) -> float:
 def test_ablation_index_dimensions(once):
     def run_all():
         return {
-            name: {"wall (s)": run_queries(build(**kwargs))}
-            for name, kwargs in VARIANTS.items()
+            name: {"wall (s)": run_queries(build())}
+            for name, build in VARIANTS.items()
         }
 
     rows = once(run_all)

@@ -3,8 +3,8 @@
 Times a repeated query batch against repositories of 100 / 1 000 /
 5 000 / 50 000 advertisements under three variants:
 
-* ``scan``        — ``engine="direct"``, no match cache: the per-ad
-  matcher over every stored advertisement (the reference);
+* ``scan``        — :func:`match_advertisements`, the per-ad matcher
+  function over every advertisement (the reference; no repository);
 * ``plane``       — the columnar plane, no cache: posting-bitset
   intersection, interval sweep, residual checkers;
 * ``plane+cache`` — the production default: the plane behind the
@@ -37,7 +37,12 @@ import statistics
 import time
 
 from repro.constraints import parse_constraint
-from repro.core import BrokerQuery, BrokerRepository, MatchContext
+from repro.core import (
+    BrokerQuery,
+    BrokerRepository,
+    MatchContext,
+    match_advertisements,
+)
 from repro.experiments import format_table
 from repro.ontology import healthcare_ontology
 from tests.test_core_matcher import make_ad
@@ -55,11 +60,13 @@ DOMAIN_WEIGHTS = [50, 20, 10, 8, 5, 3, 2, 1, 1]
 #: Distinct market segments (class posting buckets).
 SEGMENTS = 40
 
-VARIANTS = {
-    "scan": dict(engine="direct", match_cache_size=0),
+#: Repository arguments of the two engine variants; ``scan`` is the
+#: function, with no repository around it.
+REPOSITORIES = {
     "plane": dict(match_cache_size=0),
     "plane+cache": dict(),
 }
+VARIANTS = ("scan", *REPOSITORIES)
 
 #: Acceptance floor for plane vs scan at the largest tier.
 SPEEDUP_FLOOR = 15.0 if QUICK else 50.0
@@ -129,22 +136,32 @@ def build_queries(n):
     return queries
 
 
+def build_context():
+    return MatchContext(ontologies={"healthcare": healthcare_ontology()})
+
+
 def build_repo(ads, **kwargs):
-    context = MatchContext(ontologies={"healthcare": healthcare_ontology()})
-    repo = BrokerRepository(context, **kwargs)
+    repo = BrokerRepository(build_context(), **kwargs)
     for ad in ads:
         repo.advertise(ad)
     return repo
 
 
-def run_batch(repo, queries, repeats=BATCH_REPEATS):
-    """Total wall seconds for *repeats* passes over the query batch,
-    plus the (variant-independent) ranked results of the final pass."""
+def scan_over(ads):
+    """The ``scan`` variant's answer function."""
+    context = build_context()
+    return lambda query: match_advertisements(query, ads, context)
+
+
+def run_batch(answer, queries, repeats=BATCH_REPEATS):
+    """Total wall seconds for *repeats* passes of *answer* over the
+    query batch, plus the (variant-independent) ranked results of the
+    final pass."""
     results = None
     started = time.perf_counter()
     for _ in range(repeats):
         results = [
-            tuple(m.agent_name for m in repo.query(query)) for query in queries
+            tuple(m.agent_name for m in answer(query)) for query in queries
         ]
     return time.perf_counter() - started, results
 
@@ -170,22 +187,19 @@ def test_micro_matchmaking(once):
             column = f"{size} ads"
             ads = build_ads(size)
             queries = build_queries(size)
-            reference = None
-            for variant, kwargs in VARIANTS.items():
+            table["scan"][column], reference = run_batch(scan_over(ads), queries)
+            for variant, kwargs in REPOSITORIES.items():
                 repo = build_repo(ads, **kwargs)
-                wall, results = run_batch(repo, queries)
-                if reference is None:
-                    reference = results
-                else:
-                    # Zero result-set differences, in ranked order.
-                    assert results == reference, (
-                        f"{variant} diverged from scan at {size} ads"
-                    )
+                wall, results = run_batch(repo.query, queries)
+                # Zero result-set differences, in ranked order.
+                assert results == reference, (
+                    f"{variant} diverged from scan at {size} ads"
+                )
                 table[variant][column] = wall
                 if variant == "plane":
                     table["write_us"][column] = time_writes(repo, ads)
                     # The writes left the repository as it was.
-                    assert run_batch(repo, queries, repeats=1)[1] == reference
+                    assert run_batch(repo.query, queries, repeats=1)[1] == reference
         return table
 
     table = once(run_all)

@@ -58,7 +58,6 @@ from repro.ontology.service import (
 _AGENT_PING_TIMER = "agent-ping-cycle"
 _SYNC_TIMER = "anti-entropy-cycle"
 _COMPACT_TIMER = "journal-compact"
-_BATCH_TIMER = "recommend-batch"
 
 
 @dataclass(frozen=True)
@@ -124,19 +123,11 @@ class BrokerAgent(Agent):
         # for until-match searches is the CORBA-trader-style alternative,
         # opt-in (see benchmarks/test_ablation_sequential_probe.py).
         sequential_until_match: bool = False,
-        matching_engine: str = "columnar",
         match_cache_size: Optional[int] = None,
         # Persistent repository storage: None keeps advertisements
         # resident in dicts; a path (or ":memory:") stores them in
         # SQLite via the lossless s-expr codec (see repro.core.store).
         repository_store: Optional[str] = None,
-        # Micro-batched matchmaking: with a window (virtual seconds),
-        # concurrent recommend-* requests buffer briefly and are
-        # answered in one repository pass — queries sharing a
-        # fingerprint prefix coalesce into a single columnar posting
-        # intersection, the rest at least share one warm cache.
-        # None (the default) answers every request immediately.
-        recommend_batch_window: Optional[float] = None,
         pull_broker_directory: bool = False,
         # Per-peer circuit breakers (None = disabled, the legacy
         # behaviour): persistently dead consortium peers are skipped
@@ -188,18 +179,12 @@ class BrokerAgent(Agent):
             store = SQLiteAdStore(repository_store)
         self.repository = BrokerRepository(
             context,
-            engine=matching_engine,
             match_cache_size=(
                 DEFAULT_MATCH_CACHE_SIZE if match_cache_size is None
                 else match_cache_size
             ),
             store=store,
         )
-        self.recommend_batch_window = recommend_batch_window
-        #: Recommends awaiting the next batch flush, plus whether a
-        #: flush timer is already armed.
-        self._recommend_buffer: List[KqmlMessage] = []
-        self._batch_armed = False
         self.pull_broker_directory = pull_broker_directory
         self.peer_brokers: List[str] = list(peer_brokers)
         self.specializations: Tuple[str, ...] = tuple(specializations)
@@ -263,8 +248,6 @@ class BrokerAgent(Agent):
         self._breakers.clear()
         self._aggregations.clear()
         self._inflight.clear()
-        self._recommend_buffer.clear()
-        self._batch_armed = False
         self.query_ontology_counts.clear()
         self.rejected_advertisements = 0
         self.peer_brokers = list(self._initial_peers)
@@ -597,8 +580,6 @@ class BrokerAgent(Agent):
             if self.sync_interval:
                 self._sync_round(result, now)
                 result.arm(self.sync_interval, _SYNC_TIMER, maintenance=True)
-        elif token == _BATCH_TIMER:
-            self._flush_recommend_batch(result, now)
         elif token == _COMPACT_TIMER:
             if self.journal is not None and self.journal_compact_interval:
                 self.journal.compact()
@@ -636,56 +617,10 @@ class BrokerAgent(Agent):
     # matchmaking (recommend-all / recommend-one)
     # ------------------------------------------------------------------
     def on_recommend_all(self, message: KqmlMessage, result: HandlerResult, now: float) -> None:
-        if not self._enqueue_recommend(message, result):
-            self._recommend(message, result)
+        self._recommend(message, result)
 
     def on_recommend_one(self, message: KqmlMessage, result: HandlerResult, now: float) -> None:
-        if not self._enqueue_recommend(message, result):
-            self._recommend(message, result)
-
-    def _enqueue_recommend(self, message: KqmlMessage, result: HandlerResult) -> bool:
-        """Buffer *message* for the next batch flush; False when batching
-        is off or the message must be answered inline (broker-directory
-        pulls reason over a different store and malformed requests get an
-        immediate SORRY)."""
-        if self.recommend_batch_window is None:
-            return False
-        if not isinstance(message.content, RecommendRequest):
-            return False
-        if message.extra("directory"):
-            return False
-        self._recommend_buffer.append(message)
-        if not self._batch_armed:
-            # Deliberately not a maintenance timer: a pending flush must
-            # keep the bus running until the buffered requesters are
-            # answered.
-            result.arm(self.recommend_batch_window, _BATCH_TIMER)
-            self._batch_armed = True
-        return True
-
-    def _flush_recommend_batch(self, result: HandlerResult, now: float) -> None:
-        """Answer every buffered recommend in one repository pass.
-
-        The shared pass (:meth:`BrokerRepository.query_batch`) warms the
-        fingerprint-keyed match cache — queries with equal posting
-        prefixes share one bitset intersection — after which each
-        request runs the normal :meth:`_recommend` flow (forwarding
-        policy, forensics, replies) and finds its answer already cached.
-        Needs ``match_cache_size > 0`` to coalesce anything.
-        """
-        self._batch_armed = False
-        buffered = self._recommend_buffer
-        self._recommend_buffer = []
-        if not buffered:
-            return
-        queries = [message.content.query for message in buffered]
-        if len(queries) > 1 and self.flight_recorder is None:
-            self.repository.query_batch(queries, observer=self.observer)
-        if self.observer.enabled:
-            self.observer.observe("broker.recommend.batch_size",
-                                  float(len(buffered)))
-        for message in buffered:
-            self._recommend(message, result)
+        self._recommend(message, result)
 
     def _shed_recommend(
         self, message: KqmlMessage, deadline: Optional[float],
@@ -703,7 +638,7 @@ class BrokerAgent(Agent):
         adm = self.admission
         if adm is None:
             return False
-        inflight = len(self._aggregations) + len(self._recommend_buffer)
+        inflight = len(self._aggregations)
         depth = self.bus.queue_depth(self.name)
         if obs.wants_metrics:
             obs.gauge("broker.admission.inflight", float(inflight),
@@ -731,7 +666,7 @@ class BrokerAgent(Agent):
         if adm is None or (adm.brownout_inflight is None
                            and adm.brownout_queue_depth is None):
             return False
-        inflight = len(self._aggregations) + len(self._recommend_buffer)
+        inflight = len(self._aggregations)
         if adm.brownout_inflight is not None and inflight >= adm.brownout_inflight:
             return True
         return (adm.brownout_queue_depth is not None

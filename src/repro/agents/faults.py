@@ -265,9 +265,9 @@ class AdmissionConfig:
     consortium fan-out, annotated ``:partial "shed:consortium"``).
 
     Limits are compared against the broker's in-flight recommend count
-    (open consortium aggregations + batched-but-unflushed requests) and
-    its bus mailbox backlog.  ``None`` disables the corresponding check;
-    the all-``None`` default refuses nothing.
+    (open consortium aggregations) and its bus mailbox backlog.  ``None``
+    disables the corresponding check; the all-``None`` default refuses
+    nothing.
     """
 
     #: Hard admission limits: at or above either, new recommends are

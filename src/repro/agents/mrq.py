@@ -480,9 +480,14 @@ class MultiResourceQueryAgent(Agent):
                 self._dispatch_query(plan.original, plan.select, next_broker,
                                      result, brokers_tried=plan.brokers_tried)
                 return
-            matches: List[Match] = []
-        else:
-            matches = list(reply.content)
+            # Every known broker timed out or refused: a transport
+            # failure, not the semantic answer "nothing matches".
+            result.send(plan.original.reply(
+                Performative.SORRY, content="no broker reachable",
+                reason="broker-unreachable",
+            ))
+            return
+        matches: List[Match] = list(reply.content)
         if not matches:
             result.send(
                 plan.original.reply(Performative.SORRY, content="no matching resources")

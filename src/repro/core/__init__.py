@@ -5,10 +5,10 @@ This package is the paper's primary contribution, reimplemented:
 * :class:`Advertisement` — a stored agent self-description;
 * :class:`BrokerQuery` — a request for agents with given syntax,
   capabilities, content and properties;
-* :func:`match_advertisements` — the direct matching engine;
+* :func:`match_advertisements` — the direct per-advertisement matcher;
 * :class:`DatalogMatcher` — the same matching compiled to Datalog rules
-  (the LDL-style engine of the original broker), used both as an
-  alternative backend and as a cross-check;
+  (the LDL-style engine of the original broker), the declarative
+  specification the repository's engine is cross-checked against;
 * :func:`score_match` — semantic-specificity scoring ("MRQ2 is a better
   semantic match for class C2 than the general MRQ agent");
 * :class:`BrokerRepository` — the broker's knowledge base;

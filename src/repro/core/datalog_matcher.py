@@ -8,23 +8,13 @@ the Datalog engine does the reasoning — including constraint-interval
 overlap via the ``iv_overlaps`` builtin and capability/class hierarchy
 facts.
 
-Two front-ends share the same fact/rule vocabulary:
-
-* :class:`DatalogMatcher` — one-shot: a fresh engine per query over an
-  explicit advertisement list.  The fidelity reference the property
-  tests compare against.
-* :class:`IncrementalDatalogMatcher` — persistent: one engine per
-  broker repository.  Advertisements are asserted (and retracted) as
-  EDB deltas, compiled query rules are cached by the query's canonical
-  fingerprint, and the engine's delta-only semi-naive evaluation keeps
-  an advertise → query loop from recomputing the whole model per
-  advertise (see :class:`repro.datalog.engine.EngineStats`).
-
-The compiled engines cover the same query language as the direct
-matcher in :mod:`repro.core.matcher`; the test suite asserts all three
-agree on randomized inputs.  The direct matcher remains the production
-path (it is faster); these are the fidelity reference and the
-LDL-architecture backend.
+One front-end, :class:`DatalogMatcher`, builds a fresh engine per query
+over an explicit advertisement list: it is the declarative
+*specification* of a match, the oracle the property tests hold the
+repository's columnar plane to (which names match, and — via
+:meth:`DatalogMatcher.explain_rejects` — why the others do not).  It
+covers the same query language as the direct matcher in
+:mod:`repro.core.matcher`; it is not a production path.
 """
 
 from __future__ import annotations
@@ -73,12 +63,7 @@ class DatalogMatcher:
         self, query: BrokerQuery, advertisements: Sequence[Advertisement]
     ) -> Set[str]:
         """The set of agent names matching *query* (unranked)."""
-        engine = Engine()
-        for ad in advertisements:
-            for fact in _advertisement_facts(ad, query.constraints.slots):
-                engine.fact(*fact)
-        self._assert_hierarchies(engine, advertisements, query)
-        _compile_query(engine, query, self.context)
+        engine = self._compile(query, advertisements)
         return {args[0] for args in engine.query("match", A)}
 
     def explain_rejects(
@@ -91,13 +76,21 @@ class DatalogMatcher:
     ) -> None:
         """Record a reject :class:`Verdict` for each advertisement in
         *rejected* by probing the compiled condition predicates."""
+        engine = self._compile(query, advertisements)
+        _probe_rejects(engine, query, rejected, trail, stats)
+
+    def _compile(
+        self, query: BrokerQuery, advertisements: Sequence[Advertisement]
+    ) -> Engine:
+        """A fresh engine holding *advertisements* as facts and *query*
+        as rules deriving ``match(Agent)``."""
         engine = Engine()
         for ad in advertisements:
             for fact in _advertisement_facts(ad, query.constraints.slots):
                 engine.fact(*fact)
         self._assert_hierarchies(engine, advertisements, query)
-        _compile_query(engine, query, self.context)
-        _probe_rejects(engine, "", query, rejected, trail, stats)
+        _compile_query(engine, query)
+        return engine
 
     def _assert_hierarchies(
         self,
@@ -128,175 +121,14 @@ class DatalogMatcher:
                         )
 
 
-class IncrementalDatalogMatcher:
-    """A persistent LDL engine serving one repository's query stream.
-
-    Advertisement facts live in the engine across queries; compiled
-    query rules are cached per canonical fingerprint under a unique
-    predicate prefix.  Steady-state advertise → query traffic therefore
-    hits the engine's incremental path: asserting a new advertisement
-    queues EDB facts, and the next (already-compiled) query applies
-    them as a semi-naive delta instead of recomputing the model.
-
-    Query-dependent vocabulary (constraint slot domains, capability
-    ``covers`` facts, per-ontology ``related`` facts) is registered
-    lazily the first time a query mentions it, then extended as new
-    advertisements arrive.  Unadvertising retracts the agent's facts,
-    which correctly falls back to a full recomputation.  Beyond
-    :attr:`max_compiled_queries` distinct query shapes, new shapes are
-    answered by a one-shot :class:`DatalogMatcher` so the persistent
-    rule set stays bounded.
-    """
-
-    max_compiled_queries = 64
-
-    def __init__(self, context: Optional[MatchContext] = None):
-        self.context = context or MatchContext()
-        self.engine = Engine()
-        self._ads: Dict[str, Advertisement] = {}
-        self._agent_facts: Dict[str, List[tuple]] = {}
-        self._slots: Set[str] = set()
-        self._functions: Set[str] = set()
-        self._advertised_classes: Set[str] = set()
-        self._requested_caps: Set[str] = set()
-        self._requested_classes: Set[Tuple[str, str]] = set()
-        self._compiled: Dict[tuple, str] = {}
-        #: One-shot fallbacks taken because the compiled-rule cache was
-        #: full (observability for the bound).
-        self.fallback_queries = 0
-
-    # ------------------------------------------------------------------
-    # advertisement lifecycle
-    # ------------------------------------------------------------------
-    def advertise(self, ad: Advertisement) -> None:
-        name = ad.agent_name
-        if name in self._agent_facts:
-            self._retract_agent(name)
-        facts = list(_advertisement_facts(ad, sorted(self._slots)))
-        for fact in facts:
-            self.engine.fact(*fact)
-        self._ads[name] = ad
-        self._agent_facts[name] = facts
-        self._extend_hierarchy_facts(ad)
-
-    def unadvertise(self, agent_name: str) -> None:
-        if agent_name in self._agent_facts:
-            self._retract_agent(agent_name)
-
-    def _retract_agent(self, name: str) -> None:
-        for fact in self._agent_facts.pop(name):
-            self.engine.retract_fact(*fact)
-        self._ads.pop(name, None)
-
-    def _extend_hierarchy_facts(self, ad: Advertisement) -> None:
-        """Emit ``covers``/``related`` facts the new advertisement makes
-        relevant to already-registered query vocabulary.  These facts
-        are keyed by vocabulary names (not agents), so they are shared
-        and never retracted — a leftover is harmless because the match
-        rules also require the per-agent ``function``/``a_class``
-        facts."""
-        hierarchy = self.context.capability_hierarchy
-        for function in ad.description.capabilities.functions:
-            if function in self._functions:
-                continue
-            self._functions.add(function)
-            for requested in self._requested_caps:
-                if hierarchy.covers(function, requested):
-                    self.engine.fact("covers", function, requested)
-        for cls in ad.description.content.classes:
-            if cls in self._advertised_classes:
-                continue
-            self._advertised_classes.add(cls)
-            for ontology_name, requested in self._requested_classes:
-                if self.context.classes_related(ontology_name, requested, cls):
-                    self.engine.fact("related", ontology_name, cls, requested)
-
-    # ------------------------------------------------------------------
-    # matchmaking
-    # ------------------------------------------------------------------
-    def match_names(self, query: BrokerQuery) -> Set[str]:
-        """Agent names matching *query* over all stored advertisements."""
-        fingerprint = query.fingerprint()
-        prefix = self._compiled.get(fingerprint)
-        if prefix is None and len(self._compiled) >= self.max_compiled_queries:
-            self.fallback_queries += 1
-            return DatalogMatcher(self.context).match_names(
-                query, list(self._ads.values())
-            )
-        self._register_vocabulary(query)
-        if prefix is None:
-            prefix = f"q{len(self._compiled)}_"
-            self._compiled[fingerprint] = prefix
-            _compile_query(self.engine, query, self.context, prefix=prefix)
-        return {args[0] for args in self.engine.query(f"{prefix}match", A)}
-
-    def explain_rejects(
-        self,
-        query: BrokerQuery,
-        rejected: Sequence[Advertisement],
-        trail: QueryExplanation,
-        stats: Optional[MatchStats] = None,
-    ) -> None:
-        """Record a reject :class:`Verdict` for each advertisement in
-        *rejected* — probing the persistent engine's compiled conditions
-        when the query shape is cached, else through a one-shot engine
-        (the same fallback :meth:`match_names` takes)."""
-        prefix = self._compiled.get(query.fingerprint())
-        if prefix is None:
-            DatalogMatcher(self.context).explain_rejects(
-                query, list(self._ads.values()), rejected, trail, stats
-            )
-            return
-        _probe_rejects(self.engine, prefix, query, rejected, trail, stats)
-
-    def _register_vocabulary(self, query: BrokerQuery) -> None:
-        for slot in query.constraints.slots:
-            if slot in self._slots:
-                continue
-            self._slots.add(slot)
-            for name, ad in self._ads.items():
-                domain_facts = list(
-                    _slot_domain_facts(
-                        name, slot, ad.description.content.constraints
-                    )
-                )
-                for fact in domain_facts:
-                    self.engine.fact(*fact)
-                self._agent_facts[name].extend(domain_facts)
-
-        hierarchy = self.context.capability_hierarchy
-        for requested in query.capabilities:
-            if requested in self._requested_caps:
-                continue
-            self._requested_caps.add(requested)
-            for function in self._functions:
-                if hierarchy.covers(function, requested):
-                    self.engine.fact("covers", function, requested)
-
-        if query.ontology_name:
-            for requested in query.classes:
-                key = (query.ontology_name, requested)
-                if key in self._requested_classes:
-                    continue
-                self._requested_classes.add(key)
-                for cls in self._advertised_classes:
-                    if self.context.classes_related(
-                        query.ontology_name, requested, cls
-                    ):
-                        self.engine.fact(
-                            "related", query.ontology_name, cls, requested
-                        )
-
-
 # ----------------------------------------------------------------------
-# fact compilation (shared by both front-ends)
+# fact compilation
 # ----------------------------------------------------------------------
 def _advertisement_facts(ad: Advertisement, constraint_slots: Sequence[str]):
     """Yield the ground facts describing *ad*.
 
     *constraint_slots* selects which slots get constraint-domain facts
-    (the one-shot matcher passes the query's constrained slots, the
-    persistent matcher its registered-slot set)."""
+    (the query's constrained slots)."""
     desc = ad.description
     name = ad.agent_name
     yield ("agent", name)
@@ -359,24 +191,14 @@ def _slot_domain_facts(name: str, slot: str, constraints):
 
 
 # ----------------------------------------------------------------------
-# rule compilation (shared by both front-ends)
+# rule compilation
 # ----------------------------------------------------------------------
-def _compile_query(
-    engine: Engine,
-    query: BrokerQuery,
-    context: MatchContext,
-    prefix: str = "",
-) -> None:
-    """Compile *query* into rules deriving ``{prefix}match(Agent)``.
-
-    All intermediate condition predicates carry *prefix* too, so the
-    persistent matcher can host many compiled queries in one engine
-    without collisions."""
+def _compile_query(engine: Engine, query: BrokerQuery) -> None:
+    """Compile *query* into rules deriving ``match(Agent)``."""
     conditions: List[str] = []
 
     def add_condition(pred: str, rules: List[tuple]):
         """Register *pred* as a required condition with OR-rules."""
-        pred = prefix + pred
         conditions.append(pred)
         for body in rules:
             engine.rule((pred, A), list(body))
@@ -411,8 +233,8 @@ def _compile_query(
             ],
         )
 
-    _compile_slots(engine, query, conditions, prefix)
-    _compile_constraints(engine, query, conditions, prefix)
+    _compile_slots(engine, query, conditions)
+    _compile_constraints(engine, query, conditions)
 
     if query.require_mobile is not None:
         add_condition("ok_mobile", [[("mobile", A, query.require_mobile)]])
@@ -426,11 +248,11 @@ def _compile_query(
         )
 
     body = [("agent", A)] + [(pred, A) for pred in conditions]
-    engine.rule((prefix + "match", A), body, negative=[("unsat", A)])
+    engine.rule(("match", A), body, negative=[("unsat", A)])
 
 
 # ----------------------------------------------------------------------
-# explain probing (shared by both front-ends)
+# explain probing
 # ----------------------------------------------------------------------
 #: Pseudo-predicate marking the advertisement-unsatisfiability check,
 #: which is a ``unsat`` *fact* (negated on the match rule) rather than a
@@ -475,7 +297,6 @@ def _explain_checks(query: BrokerQuery) -> List[Tuple[str, str, Optional[str]]]:
 
 def _probe_rejects(
     engine: Engine,
-    prefix: str,
     query: BrokerQuery,
     rejected: Sequence[Advertisement],
     trail: QueryExplanation,
@@ -489,7 +310,7 @@ def _probe_rejects(
     checks = _explain_checks(query)
     unsat = {args[0] for args in engine.query("unsat", A)}
     pass_sets: Dict[str, Set[str]] = {
-        pred: {args[0] for args in engine.query(prefix + pred, A)}
+        pred: {args[0] for args in engine.query(pred, A)}
         for pred, _, _ in checks
         if pred != _UNSAT_CHECK
     }
@@ -516,11 +337,11 @@ def _probe_rejects(
 
 
 def _compile_slots(
-    engine: Engine, query: BrokerQuery, conditions: List[str], prefix: str
+    engine: Engine, query: BrokerQuery, conditions: List[str]
 ) -> None:
     if not query.slots:
         return
-    pred = prefix + "ok_slots"
+    pred = "ok_slots"
     conditions.append(pred)
     engine.rule((pred, A), [("no_slots", A)])
     if query.allow_partial_slots:
@@ -532,10 +353,10 @@ def _compile_slots(
 
 
 def _compile_constraints(
-    engine: Engine, query: BrokerQuery, conditions: List[str], prefix: str
+    engine: Engine, query: BrokerQuery, conditions: List[str]
 ) -> None:
     for index, slot in enumerate(query.constraints.slots):
-        pred = f"{prefix}ok_cons_{index}"
+        pred = f"ok_cons_{index}"
         conditions.append(pred)
         engine.rule((pred, A), [("unconstrained", A, slot)])
         domain = query.constraints.domain(slot)

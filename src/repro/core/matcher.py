@@ -17,7 +17,7 @@ An equivalent Datalog-compiled engine lives in
 :mod:`repro.core.datalog_matcher`; property tests assert they agree.
 
 This matcher is the per-advertisement predicate: the reference the
-repository's default engine — the columnar plane of
+repository's engine — the columnar plane of
 :mod:`repro.core.columnar` — is held ranked-identical to, and the path
 explain mode takes (see :mod:`repro.core.repository`).  The hierarchy
 tests below go through the memoized closures
@@ -129,8 +129,8 @@ class MatchStats:
 
 #: Sentinel: "resolve the explain sink from the context" (the default).
 #: Pass ``explain=None`` to force explanation off even when the context
-#: carries a sink — the repository's datalog re-ranking pass does this
-#: so accepted advertisements aren't double-recorded.
+#: carries a sink — the repository's broker-directory reasoning does
+#: this, as it is no part of an agent-matchmaking trail.
 _EXPLAIN_FROM_CONTEXT = object()
 
 
@@ -190,7 +190,7 @@ def accept_verdict(query: BrokerQuery, match: Match, context: MatchContext) -> V
 
 def missing_slot_detail(query: BrokerQuery, ad: Advertisement) -> Optional[str]:
     """The first requested slot the advertisement fails to cover, in
-    query order — shared by both backends so details compare equal."""
+    query order — shared with the Datalog oracle so details compare equal."""
     advertised = set(ad.description.content.slots)
     for slot in query.slots:
         if slot not in advertised:
@@ -223,7 +223,7 @@ def _matches(
 
     Reject sites fire in a canonical order — the reason recorded for a
     multiply-failing advertisement is the *first* failing filter, and
-    the Datalog backend probes its compiled conditions in this same
+    the Datalog oracle probes its compiled conditions in this same
     order.  ``observed`` keeps the disabled path at one extra local
     truth test per reject.
     """

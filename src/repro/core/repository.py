@@ -19,7 +19,7 @@ result-invisible — only the work changes):
    or a mutation of the shared ontologies / capability hierarchy —
    bumps the generation, so dynamic communities never see a stale
    recommendation.
-2. **The columnar plane** (``engine="columnar"``, the default).  A
+2. **The columnar plane.**  A
    :class:`~repro.core.columnar.ColumnarPlane` — bitset posting lists,
    interval arrays, compiled constraint checkers — is maintained *in
    place*: ``advertise`` / ``unadvertise`` add or remove exactly the one
@@ -27,15 +27,13 @@ result-invisible — only the work changes):
    recompiled, and a cache miss is answered in vectorized passes
    instead of a per-advertisement walk.
 
-Two reference engines stay selectable, for the equivalence gate and for
-explanation: ``engine="direct"`` is the plain
-:func:`~repro.core.matcher.match_advertisements` scan over every stored
-advertisement (explain mode and ``query_brokers`` always take it, so
-every advertisement gets its canonical verdict), and
-``engine="datalog"`` is the declarative oracle — one persistent
-:class:`~repro.core.datalog_matcher.IncrementalDatalogMatcher` holding
-every stored advertisement as facts, the original broker's LDL
-architecture.
+The plane is the only engine.  Its two references are functions, not
+backends: :func:`~repro.core.matcher.match_advertisements`, the
+canonical per-advertisement scan (explain mode and ``query_brokers``
+take it, so every advertisement gets its canonical verdict), and the
+one-shot :class:`~repro.core.datalog_matcher.DatalogMatcher`, the
+declarative specification of a match.  The tests hold ``query`` to both
+over ``agent_ads()``.
 
 Storage is pluggable: the default :class:`MemoryAdStore` keeps
 advertisements resident in dicts; :class:`repro.core.store.SQLiteAdStore`
@@ -58,14 +56,10 @@ from repro.core.matcher import (
     Match,
     MatchContext,
     MatchStats,
-    accept_verdict,
     match_advertisements,
 )
 from repro.core.query import BrokerQuery
 from repro.obs.profiler import PROFILER
-
-#: Accepted ``engine`` values, the default first (see the class docstring).
-ENGINES = ("columnar", "direct", "datalog")
 
 #: Default bound on distinct cached query fingerprints per repository.
 DEFAULT_MATCH_CACHE_SIZE = 256
@@ -159,34 +153,22 @@ class MemoryAdStore:
 class BrokerRepository:
     """Advertisement storage and local matchmaking for one broker.
 
-    ``engine`` selects the reasoning backend: ``"columnar"`` (the
-    default — bitset posting lists and interval columns maintained in
-    place, see :mod:`repro.core.columnar`), ``"direct"`` (the plain
-    per-advertisement scan, the reference) or ``"datalog"``
-    (advertisements compiled to facts, queries to rules — the original
-    broker's LDL architecture, the declarative oracle).  All produce
-    identical ranked match sets.
-
     ``match_cache_size`` bounds the fingerprint-keyed match cache (0
     disables it).  ``store`` plugs in the advertisement storage backend
     (default resident :class:`MemoryAdStore`); advertisements it already
-    holds are loaded into the engine.
+    holds are loaded into the plane.
     """
 
     def __init__(
         self,
         context: Optional[MatchContext] = None,
-        engine: str = "columnar",
         match_cache_size: int = DEFAULT_MATCH_CACHE_SIZE,
         store=None,
     ):
-        if engine not in ENGINES:
-            raise BrokeringError(f"unknown matching engine {engine!r}")
         if match_cache_size < 0:
             raise BrokeringError("match_cache_size must be >= 0")
         self._store = store if store is not None else MemoryAdStore()
         self.context = context or MatchContext()
-        self.engine = engine
         self.match_cache_size = match_cache_size
         #: Bumped on every repository mutation *and* whenever the shared
         #: semantic knowledge (ontologies, capability hierarchy) moves;
@@ -198,20 +180,10 @@ class BrokerRepository:
             OrderedDict()
         )
         #: The engine's own view of the stored agent advertisements —
-        #: loaded from the store here, kept in step by :meth:`_reindex`
-        #: (the scan needs none: it reads the store).
-        self._plane = None
-        self._datalog = None
-        if engine == "columnar":
-            self._plane = ColumnarPlane.compile(
-                self._store.iter_agents(), self._fetch_agent
-            )
-        elif engine == "datalog":
-            from repro.core.datalog_matcher import IncrementalDatalogMatcher
-
-            self._datalog = IncrementalDatalogMatcher(self.context)
-            for ad in self._store.iter_agents():
-                self._datalog.advertise(ad)
+        #: loaded from the store here, kept in step by :meth:`_reindex`.
+        self._plane = ColumnarPlane.compile(
+            self._store.iter_agents(), self._fetch_agent
+        )
         self.stats = RepositoryStats()
 
     @property
@@ -225,7 +197,6 @@ class BrokerRepository:
         knowledge, not volatile broker state)."""
         return BrokerRepository(
             self.context,
-            engine=self.engine,
             match_cache_size=self.match_cache_size,
             store=self._store.clone_empty(),
         )
@@ -302,26 +273,19 @@ class BrokerRepository:
     def _reindex(
         self, old: Optional[Advertisement], new: Optional[Advertisement]
     ) -> None:
-        """Swap one agent's advertisement in the engine's index: *old*
-        (if any) leaves, *new* (if any) enters — in place, touching
-        only what that one advertisement occupies."""
-        plane = self._plane
-        if plane is not None:
-            if PROFILER.enabled:
-                PROFILER.begin("match.columnar.build")
-            try:
-                if old is not None:
-                    plane.remove(old)
-                if new is not None:
-                    plane.add(new)
-            finally:
-                if PROFILER.enabled:
-                    PROFILER.end("match.columnar.build")
-        elif self._datalog is not None:
+        """Swap one agent's advertisement in the plane: *old* (if any)
+        leaves, *new* (if any) enters — in place, touching only what
+        that one advertisement occupies."""
+        if PROFILER.enabled:
+            PROFILER.begin("match.columnar.build")
+        try:
+            if old is not None:
+                self._plane.remove(old)
             if new is not None:
-                self._datalog.advertise(new)  # retracts the old facts itself
-            elif old is not None:
-                self._datalog.unadvertise(old.agent_name)
+                self._plane.add(new)
+        finally:
+            if PROFILER.enabled:
+                PROFILER.end("match.columnar.build")
 
     @contextmanager
     def bulk(self):
@@ -452,25 +416,16 @@ class BrokerRepository:
             self._match_cache.popitem(last=False)
 
     def _match(self, queries: List[BrokerQuery], observer) -> List[List[Match]]:
-        """Answer cache misses with the configured engine: one
-        vectorized pass over the plane, or the reference scan per query
-        (which reasons over every stored advertisement)."""
+        """Answer cache misses in one vectorized pass over the plane."""
         stats = MatchStats() if observer is not None else None
         stored = self._store.agent_count
-        phase = "match.filter" if self._plane is None else "match.columnar.sweep"
         if PROFILER.enabled:
-            PROFILER.begin(phase)
+            PROFILER.begin("match.columnar.sweep")
         try:
-            if self._plane is not None:
-                answered = self._plane.match_batch(queries, self.context, stats)
-            else:
-                answered = [
-                    (self._scan(query, stats, observer), stored)
-                    for query in queries
-                ]
+            answered = self._plane.match_batch(queries, self.context, stats)
         finally:
             if PROFILER.enabled:
-                PROFILER.end(phase)
+                PROFILER.end("match.columnar.sweep")
         for _matches, candidates in answered:
             self.stats.advertisements_reasoned_over += candidates
             self.stats.candidates_pruned += stored - candidates
@@ -479,27 +434,6 @@ class BrokerRepository:
         if observer is not None:
             self._observe_match_stats(observer, stats)
         return [matches for matches, _candidates in answered]
-
-    def _scan(self, query: BrokerQuery, stats, observer) -> List[Match]:
-        """The reference engines: the per-ad matcher over every stored
-        advertisement, or — LDL-style — over the names the persistent
-        Datalog engine derives, ranked by the shared scoring function.
-        (With *stats*, the Datalog counts reflect that ranking pass.)"""
-        if self._datalog is None:
-            return match_advertisements(
-                query, self._store.iter_agents(), self.context, stats
-            )
-        recomputes_before = self._datalog.engine.stats.full_recomputes
-        names = self._datalog.match_names(query)
-        if observer is not None:
-            observer.inc(
-                "datalog.recompute",
-                self._datalog.engine.stats.full_recomputes - recomputes_before,
-            )
-        return match_advertisements(
-            query, [self._fetch_agent(name) for name in sorted(names)],
-            self.context, stats,
-        )
 
     def _fetch_agent(self, name: str) -> Advertisement:
         ad = self._store.get_agent(name)
@@ -529,26 +463,10 @@ class BrokerRepository:
         candidates = list(self._store.iter_agents())
         self.stats.advertisements_reasoned_over += len(candidates)
         stats = MatchStats()
-        if self._datalog is not None:
-            trail = sink.begin(query, backend="datalog")
-            names = self._datalog.match_names(query)
-            rejected = [ad for ad in candidates if ad.agent_name not in names]
-            self._datalog.explain_rejects(query, rejected, trail, stats)
-            stats.candidates += len(candidates)
-            matches = match_advertisements(
-                query, [ad for ad in candidates if ad.agent_name in names],
-                self.context, explain=None,
-            )
-            stats.matched += len(matches)
-            for match in matches:
-                trail.record(accept_verdict(query, match, self.context))
-        else:
-            matches = match_advertisements(
-                query, candidates, self.context, stats, explain=sink,
-            )
-            sink.queries[-1].backend = (
-                "scan" if self._plane is None else "columnar"
-            )
+        matches = match_advertisements(
+            query, candidates, self.context, stats, explain=sink,
+        )
+        sink.queries[-1].backend = "columnar"  # the engine that was bypassed
         if observer is not None:
             self._observe_match_stats(observer, stats)
         return matches

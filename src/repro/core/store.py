@@ -5,7 +5,8 @@ advertisement resident, which is fine for a simulated community but not
 for a long-lived broker holding tens of thousands of advertisements
 (the paper's brokers persisted their repository in LDL's EDB).  This
 module provides the same storage interface over a single SQLite table
-— stdlib only, no new dependencies:
+— stdlib only, no new dependencies — plugged in as
+``BrokerRepository(context, store=SQLiteAdStore(path))``:
 
 ``ads(name TEXT PRIMARY KEY, kind INTEGER, size_mb REAL, sexpr TEXT)``
 
@@ -37,8 +38,6 @@ from repro.core.advertisement import (
     advertisement_from_sexpr,
     advertisement_to_sexpr,
 )
-from repro.core.matcher import MatchContext
-from repro.core.repository import BrokerRepository
 from repro.kqml.sexpr import parse_sexpr, render_sexpr
 
 #: ``kind`` column values.
@@ -236,23 +235,3 @@ class SQLiteAdStore:
 
     def close(self) -> None:
         self._db.close()
-
-
-class SQLiteBrokerRepository(BrokerRepository):
-    """A :class:`BrokerRepository` whose advertisements live in SQLite.
-
-    Pure convenience: ``BrokerRepository(context, store=SQLiteAdStore(path))``
-    is the long form.  The default columnar plane holds only bitsets
-    and interval columns, and SQLite holds the advertisements, so query
-    cost does not require the whole repository resident in Python
-    objects.
-    """
-
-    def __init__(
-        self,
-        context: Optional[MatchContext] = None,
-        path: str = ":memory:",
-        **kwargs,
-    ):
-        kwargs.setdefault("store", SQLiteAdStore(path))
-        super().__init__(context, **kwargs)

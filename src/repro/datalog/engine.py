@@ -5,23 +5,16 @@ query after a change) using semi-naive iteration within each stratum.
 Strata are computed from the predicate dependency graph; a negative
 dependency inside a cycle is rejected with :class:`StratificationError`.
 
-Two performance layers sit under the classic evaluator:
+Any assertion or retraction after a query simply discards the model; the
+next query evaluates it again from scratch (:attr:`Engine.stats` counts
+the evaluations).
 
-* **Per-predicate fact indexing** — the materialized model is a
-  :class:`FactStore`, which lazily builds ``(predicate, position) ->
-  value -> tuples`` hash indexes the first time a join probes a bound
-  argument position, and keeps them current as derivation inserts new
-  tuples.  Joins over large extensions become hash lookups instead of
-  scans.
-* **Incremental EDB additions** — asserting a ground fact after the
-  model is materialized no longer discards the model.  The fact is
-  queued, and the next query applies the whole queue as a *delta-only*
-  semi-naive pass: only strata positively reachable from the changed
-  predicates are re-evaluated, the rest are skipped.  Additions that
-  could (transitively) feed a negated literal are non-monotone and fall
-  back to a full recomputation, as do rule additions and retractions.
-  :attr:`Engine.stats` counts both paths so callers (and tests) can see
-  which one ran.
+One performance layer sits under the classic evaluator: the
+materialized model is a :class:`FactStore`, which lazily builds
+``(predicate, position) -> value -> tuples`` hash indexes the first time
+a join probes a bound argument position, and keeps them current as
+derivation inserts new tuples.  Joins over large extensions become hash
+lookups instead of scans.
 """
 
 from __future__ import annotations
@@ -31,7 +24,7 @@ from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.datalog import builtins
-from repro.datalog.program import Fact, Literal, Program, ProgramError, Rule, as_literal
+from repro.datalog.program import Fact, Program, Rule, as_literal
 from repro.datalog.terms import Var, substitute
 from repro.datalog.unify import match
 
@@ -49,19 +42,10 @@ _EMPTY: frozenset = frozenset()
 
 @dataclass
 class EngineStats:
-    """Evaluation-work counters (the ``datalog.recompute`` telemetry).
-
-    ``full_recomputes`` counts whole-model evaluations from scratch;
-    ``incremental_updates`` counts delta-only applications of queued
-    EDB facts; ``strata_evaluated``/``strata_skipped`` break down the
-    incremental passes (a skipped stratum is one the delta provably
-    could not affect).
-    """
+    """Evaluation-work counter: ``full_recomputes`` counts whole-model
+    evaluations (one per query that follows a change)."""
 
     full_recomputes: int = 0
-    incremental_updates: int = 0
-    strata_evaluated: int = 0
-    strata_skipped: int = 0
 
 
 class FactStore:
@@ -124,67 +108,45 @@ class Engine:
 
     def __init__(self):
         self._program = Program()
-        self._model: Optional[FactStore] = None
-        self._pending: List[Fact] = []
-        # Caches derived from the *rule set* only; cleared on rule change.
-        self._strata: Optional[List[Set[str]]] = None
-        self._nonmonotone: Optional[Set[str]] = None
+        self._model: Optional[FactStore] = None  # None = stale
         self.stats = EngineStats()
 
     # ------------------------------------------------------------------
     # assertion API
     # ------------------------------------------------------------------
     def fact(self, predicate: str, *args) -> None:
-        """Assert the ground fact ``predicate(*args)``.
-
-        When a model is already materialized the fact is queued and
-        applied incrementally on the next query instead of invalidating
-        the model.
-        """
-        fact = Fact(predicate, tuple(args))
-        self._program.add_fact(fact)
-        if self._model is not None:
-            self._pending.append(fact)
+        """Assert the ground fact ``predicate(*args)``."""
+        self._program.add_fact(Fact(predicate, tuple(args)))
+        self._model = None
 
     def rule(self, head, body: Sequence = (), negative: Sequence = ()) -> None:
         """Assert a rule.
 
         *head* and each element of *body* are ``(predicate, arg, ...)``
         tuples (or Literal objects); *negative* lists body literals that
-        are negated.  Rule changes always force a full recomputation.
+        are negated.
         """
         head_lit = as_literal(head)
         body_lits = [as_literal(b) for b in body]
         body_lits += [as_literal(n, negated=True) for n in negative]
         self._program.add_rule(Rule(head_lit, tuple(body_lits)))
-        self._invalidate(rules_changed=True)
+        self._model = None
 
     def retract_predicate(self, predicate: str) -> None:
         """Remove all facts stored under *predicate* (rules are kept)."""
         self._program.facts.pop(predicate, None)
-        self._invalidate()
+        self._model = None
 
     def retract_fact(self, predicate: str, *args) -> bool:
-        """Remove one asserted ground fact; True when it was present.
-
-        Retraction is non-monotone, so the model is invalidated and the
-        next query performs a full recomputation.
-        """
+        """Remove one asserted ground fact; True when it was present."""
         stored = self._program.facts.get(predicate)
         if stored is None or tuple(args) not in stored:
             return False
         stored.discard(tuple(args))
         if not stored:
             del self._program.facts[predicate]
-        self._invalidate()
-        return True
-
-    def _invalidate(self, rules_changed: bool = False) -> None:
         self._model = None
-        self._pending = []
-        if rules_changed:
-            self._strata = None
-            self._nonmonotone = None
+        return True
 
     # ------------------------------------------------------------------
     # query API
@@ -232,106 +194,16 @@ class Engine:
     # ------------------------------------------------------------------
     def _materialize(self) -> FactStore:
         if self._model is None:
-            self._evaluate_full()
-        elif self._pending:
-            self._apply_pending()
+            model = FactStore()
+            for pred, tuples in self._program.facts.items():
+                for args in tuples:
+                    model.add(pred, args)
+            for layer in stratify(self._program):
+                rules = [r for r in self._program.rules if r.head.predicate in layer]
+                _seminaive(rules, model)
+            self._model = model
+            self.stats.full_recomputes += 1
         return self._model
-
-    def _evaluate_full(self) -> None:
-        model = FactStore()
-        for pred, tuples in self._program.facts.items():
-            for args in tuples:
-                model.add(pred, args)
-        for layer in self._stratify_cached():
-            rules = [r for r in self._program.rules if r.head.predicate in layer]
-            _seminaive(rules, model)
-        self._model = model
-        self._pending = []
-        self.stats.full_recomputes += 1
-
-    def _apply_pending(self) -> None:
-        pending, self._pending = self._pending, []
-        support = self._nonmonotone_support()
-        if any(fact.predicate in support for fact in pending):
-            # The addition can shrink derived predicates through
-            # negation: only a full recomputation is sound.
-            self._model = None
-            self._evaluate_full()
-            return
-        delta: Dict[str, Set[Tuple]] = defaultdict(set)
-        for fact in pending:
-            if self._model.add(fact.predicate, fact.args):
-                delta[fact.predicate].add(fact.args)
-        if delta:
-            reachable = self._positive_reachable(set(delta))
-            for layer in self._stratify_cached():
-                rules = [
-                    r for r in self._program.rules if r.head.predicate in layer
-                ]
-                if not rules:
-                    continue
-                if not any(
-                    lit.predicate in reachable
-                    for rule in rules
-                    for lit in rule.body
-                    if not lit.negated and not lit.is_builtin
-                ):
-                    self.stats.strata_skipped += 1
-                    continue
-                derived = _seminaive(rules, self._model, seed=delta)
-                for pred, tuples in derived.items():
-                    delta[pred] |= tuples
-                self.stats.strata_evaluated += 1
-        self.stats.incremental_updates += 1
-
-    def _stratify_cached(self) -> List[Set[str]]:
-        if self._strata is None:
-            self._strata = stratify(self._program)
-        return self._strata
-
-    def _nonmonotone_support(self) -> Set[str]:
-        """Predicates whose growth can *shrink* the model: everything
-        that (transitively, through positive rule dependencies) feeds a
-        negated body literal."""
-        if self._nonmonotone is None:
-            contributors: Dict[str, Set[str]] = defaultdict(set)
-            negated: Set[str] = set()
-            for rule in self._program.rules:
-                for lit in rule.body:
-                    if lit.is_builtin:
-                        continue
-                    if lit.negated:
-                        negated.add(lit.predicate)
-                    else:
-                        contributors[rule.head.predicate].add(lit.predicate)
-            support = set(negated)
-            frontier = set(negated)
-            while frontier:
-                next_frontier: Set[str] = set()
-                for pred in frontier:
-                    next_frontier |= contributors.get(pred, set()) - support
-                support |= next_frontier
-                frontier = next_frontier
-            self._nonmonotone = support
-        return self._nonmonotone
-
-    def _positive_reachable(self, start: Set[str]) -> Set[str]:
-        """*start* plus every predicate derivable from it through
-        positive rule dependencies (body -> head edges)."""
-        dependents: Dict[str, Set[str]] = defaultdict(set)
-        for rule in self._program.rules:
-            for lit in rule.body:
-                if not lit.negated and not lit.is_builtin:
-                    dependents[lit.predicate].add(rule.head.predicate)
-        reachable = set(start)
-        frontier = set(start)
-        while frontier:
-            next_frontier: Set[str] = set()
-            for pred in frontier:
-                next_frontier |= dependents.get(pred, set()) - reachable
-            reachable |= next_frontier
-            frontier = next_frontier
-        return reachable
 
 
 def _sort_key(args: Tuple):
@@ -383,46 +255,16 @@ def stratify(program: Program) -> List[Set[str]]:
     return [layer for layer in layers if layer]
 
 
-def _evaluate(program: Program) -> Dict[str, Set[Tuple]]:
-    """Full model of *program* as plain sets (compatibility helper)."""
-    model = FactStore()
-    for pred, tuples in program.facts.items():
-        for args in tuples:
-            model.add(pred, args)
-    for layer in stratify(program):
-        rules = [r for r in program.rules if r.head.predicate in layer]
-        _seminaive(rules, model)
-    return model.snapshot()
-
-
-def _seminaive(
-    rules: List[Rule],
-    model: FactStore,
-    seed: Optional[Dict[str, Set[Tuple]]] = None,
-) -> Dict[str, Set[Tuple]]:
-    """Semi-naive fixpoint of *rules* over (and into) *model*.
-
-    Without *seed*, runs the classic bootstrap (one naive pass, then
-    delta iteration).  With *seed* — a predicate -> new-tuples delta
-    already inserted into *model* — the bootstrap is skipped and the
-    iteration starts from the seed, so only derivations touching the
-    delta fire.  Returns the tuples newly derived by this call.
-    """
-    derived_total: Dict[str, Set[Tuple]] = defaultdict(set)
-    if not rules:
-        return derived_total
-
-    if seed is None:
-        delta: Dict[str, Set[Tuple]] = defaultdict(set)
-        # Initial round: plain naive pass so rules with empty bodies and
-        # rules over pre-existing facts fire at least once.
-        for rule in rules:
-            for derived in _apply_rule(rule, model, None, None):
-                if model.add(rule.head.predicate, derived):
-                    delta[rule.head.predicate].add(derived)
-                    derived_total[rule.head.predicate].add(derived)
-    else:
-        delta = {pred: set(tuples) for pred, tuples in seed.items() if tuples}
+def _seminaive(rules: List[Rule], model: FactStore) -> None:
+    """Semi-naive fixpoint of *rules* over (and into) *model*: one naive
+    pass, then delta iteration."""
+    delta: Dict[str, Set[Tuple]] = defaultdict(set)
+    # Initial round: plain naive pass so rules with empty bodies and
+    # rules over pre-existing facts fire at least once.
+    for rule in rules:
+        for derived in _apply_rule(rule, model, None, None):
+            if model.add(rule.head.predicate, derived):
+                delta[rule.head.predicate].add(derived)
 
     while delta:
         new_delta: Dict[str, Set[Tuple]] = defaultdict(set)
@@ -435,9 +277,7 @@ def _seminaive(
                 for derived in _apply_rule(rule, model, idx, delta[lit.predicate]):
                     if model.add(rule.head.predicate, derived):
                         new_delta[rule.head.predicate].add(derived)
-                        derived_total[rule.head.predicate].add(derived)
         delta = new_delta
-    return derived_total
 
 
 def _apply_rule(

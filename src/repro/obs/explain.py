@@ -4,9 +4,9 @@ Three layers, all opt-in (the matching hot path and the broker fan-out
 pay nothing when disabled):
 
 * **Verdict trails** — an :class:`ExplainSink` hung on
-  ``MatchContext.explain_sink`` makes every matcher backend (scan,
-  columnar, datalog) record one :class:`Verdict` per advertisement per
-  query: accepted with the winning score breakdown, or rejected with the
+  ``MatchContext.explain_sink`` makes the matcher (and the repository,
+  which answers explain-mode queries through it) record one
+  :class:`Verdict` per advertisement per query: accepted with the winning score breakdown, or rejected with the
   first machine-readable reason in the canonical filter order
   (``agent-type-mismatch`` .. ``response-time-exceeded``).
 
@@ -48,9 +48,9 @@ REASON_MOBILITY = "mobility-mismatch"
 REASON_RESPONSE_TIME = "response-time-exceeded"
 
 #: Every reject reason, in the order the direct matcher applies filters.
-#: The Datalog backend probes its compiled condition predicates in this
-#: same order, which is what makes the backends agree on *which* reason
-#: a multiply-failing advertisement reports.
+#: The Datalog oracle probes its compiled condition predicates in this
+#: same order, which is what makes the two agree on *which* reason a
+#: multiply-failing advertisement reports.
 REJECT_REASONS: Tuple[str, ...] = (
     REASON_AGENT_TYPE,
     REASON_LANGUAGE,

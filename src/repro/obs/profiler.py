@@ -2,20 +2,19 @@
 
 A :class:`PhaseProfiler` aggregates nested, named activity phases —
 ``bus.deliver``, ``match.columnar.sweep``, ``cache.lookup``,
-``match.filter``, ``journal.append`` — into per-stack wall-clock
-totals.  Instrumented code talks to the process-wide :data:`PROFILER`
+``journal.append`` — into per-stack wall-clock totals.  Instrumented code talks to the process-wide :data:`PROFILER`
 singleton and pays exactly one attribute load plus one branch when the
 profiler is idle::
 
     from repro.obs.profiler import PROFILER
     ...
     if PROFILER.enabled:
-        PROFILER.begin("match.filter")
+        PROFILER.begin("cache.lookup")
     try:
         work()
     finally:
         if PROFILER.enabled:
-            PROFILER.end("match.filter")
+            PROFILER.end("cache.lookup")
 
 The singleton is *always the same object* — enabling is a flag flip,
 never a rebind — so modules may import it once at module scope.  The

@@ -8,10 +8,8 @@ DESIGN.md's dropped-parameter table.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
-
-from repro.core.repository import ENGINES
 
 
 class BrokerStrategy(enum.Enum):
@@ -131,15 +129,7 @@ class SimConfig:
     #: this interval (seconds).
     broker_sync_interval: Optional[float] = None
 
-    # --- matchmaking engine -------------------------------------------------
-    #: Repository matching backend for every broker: ``"columnar"``
-    #: (the default), ``"direct"`` or ``"datalog"`` (see
-    #: repro.core.repository).
-    broker_engine: str = "columnar"
-    #: When set, brokers buffer concurrent recommend-* requests for
-    #: this many (virtual) seconds and answer them in one repository
-    #: pass (micro-batching; see BrokerAgent.recommend_batch_window).
-    broker_batch_window: Optional[float] = None
+    # --- repository storage -------------------------------------------------
     #: When set, broker repositories store advertisements in SQLite at
     #: this path (``":memory:"`` for per-broker in-memory databases)
     #: instead of resident dicts.  Brokers suffix the path with their
@@ -172,22 +162,6 @@ class SimConfig:
     #: the local repository only (`:partial "shed:consortium"`).
     brownout_inflight: Optional[int] = None
     brownout_queue_depth: Optional[int] = None
-
-    # --- resilient MRQ execution (all off by default: the legacy
-    # --- query-every-match fan-out, byte-identical to before) ---------------
-    #: Group recommended resources into per-fragment equivalence sets,
-    #: send each fragment to the best-scored provider, and fail over to
-    #: the next-ranked one on timeout/sorry/overload shed.
-    mrq_failover: bool = False
-    #: Duplicate straggler fragments to the runner-up provider after a
-    #: latency-quantile trigger (first reply wins).
-    mrq_hedge: bool = False
-    #: Per-provider sub-query timeout for resilient execution (seconds).
-    mrq_provider_timeout_s: float = 15.0
-    #: Total providers tried per fragment (including hedge copies).
-    mrq_max_providers: int = 3
-    #: Hedge trigger before the latency EWMA has enough samples.
-    mrq_hedge_delay_s: float = 8.0
 
     # --- burst workload (open-loop flash crowd) -----------------------------
     #: When set, the mean query interval is divided by ``burst_factor``
@@ -264,10 +238,6 @@ class SimConfig:
             raise ValueError("crash_mode must be 'lenient' or 'strict'")
         if self.broker_sync_interval is not None and self.broker_sync_interval <= 0:
             raise ValueError("broker sync interval must be positive")
-        if self.broker_engine not in ENGINES:
-            raise ValueError(f"broker_engine must be one of {ENGINES}")
-        if self.broker_batch_window is not None and self.broker_batch_window <= 0:
-            raise ValueError("broker batch window must be positive")
         if self.flight_recorder_slots is not None and self.flight_recorder_slots < 1:
             raise ValueError("flight recorder slots must be >= 1")
         if self.trace_sample_rate is not None and not (
@@ -290,10 +260,6 @@ class SimConfig:
             value = getattr(self, name)
             if value is not None and value < 1:
                 raise ValueError(f"{name} must be >= 1")
-        if self.mrq_provider_timeout_s <= 0 or self.mrq_hedge_delay_s <= 0:
-            raise ValueError("MRQ resilience timeouts must be positive")
-        if self.mrq_max_providers < 1:
-            raise ValueError("mrq_max_providers must be >= 1")
         if self.burst_start is not None and self.burst_duration <= 0:
             raise ValueError("burst_duration must be positive when "
                              "burst_start is set")
@@ -336,22 +302,6 @@ class SimConfig:
             or self.link_dup_rate > 0.0
             or self.link_jitter_s > 0.0
             or self.partition_start is not None
-        )
-
-    def mrq_resilience(self):
-        """The :class:`~repro.agents.mrq.MrqResilienceConfig` these knobs
-        describe, or None when every knob is off (the byte-identical
-        legacy fan-out)."""
-        if not (self.mrq_failover or self.mrq_hedge):
-            return None
-        from repro.agents.mrq import MrqResilienceConfig
-
-        return MrqResilienceConfig(
-            failover=self.mrq_failover,
-            hedge=self.mrq_hedge,
-            provider_timeout=self.mrq_provider_timeout_s,
-            max_providers_per_fragment=self.mrq_max_providers,
-            hedge_delay_s=self.mrq_hedge_delay_s,
         )
 
     def effective_redundancy(self) -> int:

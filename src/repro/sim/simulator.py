@@ -171,8 +171,6 @@ class Simulation:
                     name,
                     peer_brokers=peers,
                     max_hop_count=config.hop_count,
-                    matching_engine=config.broker_engine,
-                    recommend_batch_window=config.broker_batch_window,
                     repository_store=(
                         None if config.broker_store is None
                         else config.broker_store

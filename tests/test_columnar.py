@@ -9,15 +9,15 @@ results:
 * compiled per-domain overlap checkers agree with ``overlaps_domains``
   and compiled constraint checkers with ``Constraint.overlaps``
   (hypothesis, including open and infinite endpoints);
-* randomized communities rank identically under scan, Datalog and
-  columnar — with constraint pools exercising open/unbounded
+* randomized communities rank identically on the plane and under the
+  scan and Datalog oracles — with constraint pools exercising open/unbounded
   intervals, point queries that empty the posting sets, and both the
   simple-interval-array and grouped-checker regimes;
 * ``query_batch`` equals per-query answers, cached and uncached;
 * a SQLite-backed repository answers byte-identically to the in-memory
   one on seeds 0-2, survives a codec round-trip, a journal replay into
   a SQLite store reproduces the original repository, and a repository
-  reopened over a populated database answers under every engine.
+  reopened over a populated database answers from it.
 """
 
 import random
@@ -37,11 +37,17 @@ from repro.constraints import (
     simple_numeric_interval,
 )
 from repro.constraints.domains import overlaps_domains
-from repro.core import BrokerQuery, BrokerRepository, MatchContext
+from repro.core import (
+    BrokerQuery,
+    BrokerRepository,
+    MatchContext,
+    match_advertisements,
+)
 from repro.core.columnar import ColumnarPlane
-from repro.core.store import SQLiteAdStore, SQLiteBrokerRepository
+from repro.core.store import SQLiteAdStore
 from tests.test_matchmaking_equivalence import (
     ONTOLOGY_NAMES,
+    assert_agrees_with_oracles,
     random_ad,
     random_ontology,
     random_query,
@@ -177,28 +183,20 @@ def test_columnar_ranked_identical_on_edge_communities(seed):
     context = MatchContext(
         ontologies={name: pair[0] for name, pair in ontologies.items()}
     )
-    scan = BrokerRepository(context, engine="direct", match_cache_size=0)
-    datalog = BrokerRepository(context, engine="datalog")
     columnar = BrokerRepository(context)
-    repos = (scan, datalog, columnar)
 
     ads = [edge_ad(rng, f"agent-{i}", ontologies) for i in range(24)]
     for ad in ads:
-        for repo in repos:
-            repo.advertise(ad)
+        columnar.advertise(ad)
 
     queries = [edge_query(rng, ontologies) for _ in range(14)]
     for query in queries + queries[:7]:
-        expected = ranked(scan.query(query))
-        assert ranked(datalog.query(query)) == expected
-        assert ranked(columnar.query(query)) == expected
+        assert_agrees_with_oracles(columnar, query)
 
     for ad in ads[::2]:
-        for repo in repos:
-            assert repo.unadvertise(ad.agent_name)
+        assert columnar.unadvertise(ad.agent_name)
     for query in queries:
-        expected = ranked(scan.query(query))
-        assert ranked(columnar.query(query)) == expected
+        assert_agrees_with_oracles(columnar, query)
 
 
 def test_columnar_empty_posting_dimensions():
@@ -209,7 +207,7 @@ def test_columnar_empty_posting_dimensions():
     from tests.test_core_matcher import make_ad
 
     context = MatchContext()
-    repo = BrokerRepository(context, engine="columnar")
+    repo = BrokerRepository(context)
     assert repo.query(BrokerQuery()) == []
 
     repo.advertise(make_ad("a1"))  # healthcare, classes=("patient",)
@@ -240,11 +238,9 @@ def test_match_batch_equals_per_query(cache):
     context = MatchContext(
         ontologies={name: pair[0] for name, pair in ontologies.items()}
     )
-    reference = BrokerRepository(context, engine="direct", match_cache_size=0)
     batched = BrokerRepository(context, match_cache_size=cache)
     ads = [edge_ad(rng, f"agent-{i}", ontologies) for i in range(20)]
     for ad in ads:
-        reference.advertise(ad)
         batched.advertise(ad)
     queries = [edge_query(rng, ontologies) for _ in range(9)]
     # Duplicates inside one batch share a posting prefix (and, with the
@@ -253,7 +249,8 @@ def test_match_batch_equals_per_query(cache):
     answers = batched.query_batch(batch)
     assert len(answers) == len(batch)
     for query, matches in zip(batch, answers):
-        assert ranked(matches) == ranked(reference.query(query))
+        assert ranked(matches) == ranked(
+            match_advertisements(query, ads, context))
 
 
 def test_plane_posting_prefix_sharing():
@@ -289,8 +286,8 @@ def test_sqlite_repository_matches_memory_byte_identically(seed):
     context = MatchContext(
         ontologies={name: pair[0] for name, pair in ontologies.items()}
     )
-    memory = BrokerRepository(context, engine="columnar")
-    sqlite = SQLiteBrokerRepository(context, engine="columnar")
+    memory = BrokerRepository(context)
+    sqlite = BrokerRepository(context, store=SQLiteAdStore())
     ads = [edge_ad(rng, f"agent-{i}", ontologies) for i in range(22)]
     for ad in ads:
         memory.advertise(ad)
@@ -312,7 +309,7 @@ def test_sqlite_store_roundtrip_and_churn():
     from tests.test_core_matcher import make_ad
 
     store = SQLiteAdStore(decode_cache_size=2)  # force re-decodes
-    repo = BrokerRepository(engine="columnar", store=store)
+    repo = BrokerRepository(store=store)
     ads = [
         make_ad(f"a{i}", ontology="healthcare",
                 constraints=f"age between {i} and {i + 10}")
@@ -351,8 +348,7 @@ def test_sqlite_journal_replay_is_one_transaction(tmp_path):
         source.advertise(ad)
         journal.record_advertise(ad)
 
-    target = SQLiteBrokerRepository(engine="columnar",
-                                    path=str(tmp_path / "ads.db"))
+    target = BrokerRepository(store=SQLiteAdStore(str(tmp_path / "ads.db")))
     with target.bulk():
         for record in journal.replay():
             target.advertise(record.ad)
@@ -363,21 +359,20 @@ def test_sqlite_journal_replay_is_one_transaction(tmp_path):
 
 
 def test_sqlite_clone_empty_forgets():
-    repo = SQLiteBrokerRepository(engine="columnar")
+    repo = BrokerRepository(store=SQLiteAdStore())
     from tests.test_core_matcher import make_ad
 
     repo.advertise(make_ad("a0", ontology="healthcare"))
     clone = repo.clone_empty()
     assert clone.agent_count == 0
-    assert clone.engine == "columnar"
+    assert clone.store.kind == "sqlite"
     assert clone.query(BrokerQuery()) == []
     # the original is untouched
     assert repo.agent_count == 1
 
 
-@pytest.mark.parametrize("engine", ["columnar", "direct", "datalog"])
-def test_repository_reopened_over_populated_store_answers(tmp_path, engine):
-    """Regression: the engine's index is loaded from the store at
+def test_repository_reopened_over_populated_store_answers(tmp_path):
+    """Regression: the plane is loaded from the store at
     construction, so a broker restarted over its database finds what an
     earlier process wrote — and can withdraw it."""
     from tests.test_core_matcher import make_ad
@@ -390,7 +385,7 @@ def test_repository_reopened_over_populated_store_answers(tmp_path, engine):
     writer.advertise(make_ad("dropped", ontology="healthcare"))
     store.close()
 
-    reopened = BrokerRepository(engine=engine, store=SQLiteAdStore(path))
+    reopened = BrokerRepository(store=SQLiteAdStore(path))
     assert reopened.agent_count == 2
     query = BrokerQuery(ontology_name="healthcare",
                         constraints=parse_constraint("age > 50"))

@@ -171,46 +171,3 @@ def test_direct_and_datalog_engines_agree(ads, query):
     direct = direct_names(query, ads, context)
     datalog = DatalogMatcher(context).match_names(query, ads)
     assert direct == datalog
-
-
-class TestIncrementalDatalogRepository:
-    """The acceptance criterion for the incremental LDL backend: an
-    advertise → query loop applies EDB deltas, not full recompiles."""
-
-    def test_advertise_query_loop_stays_incremental(self):
-        from repro.core import BrokerRepository
-
-        repo = BrokerRepository(
-            MatchContext(ontologies={"healthcare": healthcare_ontology()}),
-            engine="datalog",
-                                match_cache_size=0)
-        query = BrokerQuery(ontology_name="healthcare", classes=("patient",),
-                            capabilities=("select",))
-        repo.advertise(make_ad("agent-0"))
-        repo.query(query)
-        baseline = repo._datalog.engine.stats.full_recomputes
-        for i in range(1, 8):
-            repo.advertise(make_ad(f"agent-{i}"))
-            matched = {m.agent_name for m in repo.query(query)}
-            assert f"agent-{i}" in matched
-        stats = repo._datalog.engine.stats
-        assert stats.full_recomputes == baseline
-        assert stats.incremental_updates >= 7
-        assert repo._datalog.fallback_queries == 0
-
-    def test_repeated_query_shapes_reuse_compiled_rules(self):
-        from repro.core import BrokerRepository
-
-        repo = BrokerRepository(
-            MatchContext(ontologies={"healthcare": healthcare_ontology()}),
-            engine="datalog",
-                                match_cache_size=0)
-        for i in range(4):
-            repo.advertise(make_ad(f"agent-{i}"))
-        q1 = BrokerQuery(ontology_name="healthcare", classes=("patient",))
-        q2 = BrokerQuery(capabilities=("select",))
-        for _ in range(3):
-            assert repo.query(q1)
-            assert repo.query(q2)
-        # Two query shapes -> two compiled rule sets, however often asked.
-        assert len(repo._datalog._compiled) == 2

@@ -46,6 +46,7 @@ from repro.obs.explain import (
 )
 from repro.ontology import OntClass, Ontology, Slot
 from tests.test_core_matcher import make_ad
+from tests.test_matchmaking_equivalence import assert_explanations_agree
 from tests.test_obs import build_chain_community, drive_recommend, fast_costs
 from repro.core.policy import FollowOption
 from repro.ontology import demo_ontology
@@ -208,10 +209,12 @@ class TestRepositoryExplain:
         # every stored advertisement got a verdict, even posting casualties
         assert sorted(v.agent for v in trail.verdicts) == ["ad", "other"]
         assert trail.verdict_for("other").reason == REASON_AGENT_TYPE
+        # ... which the scan function and the Datalog oracle both assign
+        assert_explanations_agree(repo, query)
 
     def test_sink_limit_keeps_most_recent(self):
         context = small_context()
-        repo = BrokerRepository(context, engine="direct", match_cache_size=0)
+        repo = BrokerRepository(context)
         repo.advertise(base_ad())
         sink = ExplainSink(limit=3)
         context.explain_sink = sink

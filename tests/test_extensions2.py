@@ -1,87 +1,12 @@
-"""Tests for the second extension batch: the Datalog repository backend,
-broker directory pulls, and CSV table I/O."""
+"""Tests for the second extension batch: broker directory pulls and CSV
+table I/O."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.agents import AgentConfig, BrokerAgent, CostModel, MessageBus, ResourceAgent
-from repro.core import BrokerQuery, BrokerRepository, BrokeringError
-from repro.core.matcher import MatchContext
-from repro.ontology import demo_ontology, healthcare_ontology
+from repro.agents import BrokerAgent, CostModel, MessageBus
 from repro.relational import Column, Schema, SchemaError, Table
-from repro.relational.generate import generate_table
 from repro.relational.io import table_from_csv, table_to_csv
-from tests.test_core_matcher import make_ad
-
-
-class TestDatalogRepositoryBackend:
-    def build(self, engine):
-        repo = BrokerRepository(
-            MatchContext(ontologies={"healthcare": healthcare_ontology()}),
-            engine=engine,
-        )
-        repo.advertise(make_ad("r1", classes=("patient",),
-                               constraints="patient_age between 43 and 75"))
-        repo.advertise(make_ad("r2", classes=("diagnosis",)))
-        repo.advertise(make_ad("pod", classes=("podiatrist",)))
-        return repo
-
-    def test_unknown_engine_rejected(self):
-        with pytest.raises(BrokeringError):
-            BrokerRepository(engine="prolog")
-
-    @pytest.mark.parametrize("query", [
-        BrokerQuery(ontology_name="healthcare", classes=("patient",)),
-        BrokerQuery(ontology_name="healthcare", classes=("provider",)),
-        BrokerQuery(agent_type="resource"),
-        BrokerQuery(capabilities=("select",)),
-    ])
-    def test_backends_agree(self, query):
-        direct = self.build("direct").query(query)
-        datalog = self.build("datalog").query(query)
-        assert [m.agent_name for m in direct] == [m.agent_name for m in datalog]
-        assert [m.score for m in direct] == [m.score for m in datalog]
-
-    def test_constraint_reasoning_on_datalog_backend(self):
-        from repro.constraints import parse_constraint
-
-        repo = self.build("datalog")
-        hit = repo.query(BrokerQuery(
-            constraints=parse_constraint("patient_age between 25 and 65")
-        ))
-        assert "r1" in [m.agent_name for m in hit]
-        miss = repo.query(BrokerQuery(
-            constraints=parse_constraint("patient_age < 40")
-        ))
-        assert "r1" not in [m.agent_name for m in miss]
-
-    def test_live_broker_on_datalog_engine(self):
-        onto = demo_ontology(1)
-        context = MatchContext(ontologies={"demo": onto})
-        bus = MessageBus(CostModel(latency_seconds=0.001,
-                                   base_handling_seconds=0.0001,
-                                   bandwidth_bytes_per_second=1e9))
-        bus.register(BrokerAgent("b1", context=context, matching_engine="datalog"))
-        bus.register(ResourceAgent(
-            "R1", {"C1": generate_table(onto, "C1", 3, seed=1)}, "demo",
-            config=AgentConfig(preferred_brokers=("b1",), redundancy=1,
-                               advertisement_size_mb=0.01),
-        ))
-        from repro.agents import MultiResourceQueryAgent, UserAgent
-
-        bus.register(MultiResourceQueryAgent(
-            "mrq", "demo", ontology=onto,
-            config=AgentConfig(preferred_brokers=("b1",), redundancy=1,
-                               advertisement_size_mb=0.01)))
-        user = UserAgent("user", config=AgentConfig(preferred_brokers=("b1",),
-                                                    redundancy=1,
-                                                    advertisement_size_mb=0.01))
-        bus.register(user)
-        bus.run_until(1.0)
-        user.submit("select * from C1")
-        bus.run()
-        assert user.completed[0].succeeded, user.completed[0].error
-        assert user.completed[0].result.row_count == 3
 
 
 class TestBrokerDirectoryPull:

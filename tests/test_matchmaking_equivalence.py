@@ -1,17 +1,19 @@
-"""Property test: every matchmaking backend agrees on every community.
+"""Property test: the repository's engine agrees with its two oracles.
 
 Seeded-random agent communities — subclass hierarchies, capability
-trees, data constraints, slot fragments — are matched three ways:
+trees, data constraints, slot fragments — are put in a default
+:class:`BrokerRepository` (the in-place maintained columnar plane
+behind the match cache) and every answer is held to two independent
+functions over ``repo.agent_ads()``:
 
-* the scan: the direct matcher over every stored advertisement, no
-  cache (the reference),
-* the plane: the in-place maintained columnar engine behind the match
-  cache (the default),
-* the persistent incremental Datalog backend (the declarative oracle).
+* :func:`match_advertisements` — the canonical per-advertisement scan:
+  the *same agents in the same ranked order* with the same scores;
+* :class:`DatalogMatcher` — the declarative specification: the same
+  names, and for every rejected advertisement the same first failing
+  reason and detail.
 
-All three must return the *same agents in the same ranked order* for
-every query, through churn.  This pins down the soundness claim: the
-cache, the LDL program and the vectorized columnar passes are pure
+Both must hold for every query, through churn.  This pins down the
+soundness claim: the cache and the vectorized columnar passes are pure
 work-savers, invisible in the results.
 """
 
@@ -20,7 +22,14 @@ import random
 import pytest
 
 from repro.constraints import parse_constraint
-from repro.core import BrokerQuery, BrokerRepository, MatchContext
+from repro.core import (
+    BrokerQuery,
+    BrokerRepository,
+    DatalogMatcher,
+    MatchContext,
+    match_advertisements,
+)
+from repro.obs.explain import ExplainSink, QueryExplanation
 from repro.ontology import OntClass, Ontology, Slot
 
 ONTOLOGY_NAMES = ["healthcare", "aerospace", "finance"]
@@ -111,100 +120,113 @@ def ranked(matches):
     return [(m.agent_name, round(m.score, 9), m.matched_slots) for m in matches]
 
 
-@pytest.mark.parametrize("seed", [7, 23, 1999])
-def test_backends_agree_on_random_communities(seed):
-    rng = random.Random(seed)
+def assert_agrees_with_oracles(repo, query):
+    """``repo.query`` equals the scan (ranked) and the Datalog oracle
+    (names) over the advertisements the repository holds."""
+    ads = repo.agent_ads()
+    matches = repo.query(query)
+    assert ranked(matches) == ranked(
+        match_advertisements(query, ads, repo.context, explain=None))
+    assert {m.agent_name for m in matches} == DatalogMatcher(
+        repo.context).match_names(query, ads)
+    return matches
+
+
+def random_context(rng):
     ontologies = {name: random_ontology(rng, name) for name in ONTOLOGY_NAMES}
     context = MatchContext(
         ontologies={name: pair[0] for name, pair in ontologies.items()}
     )
+    return ontologies, context
 
-    scan = BrokerRepository(context, engine="direct", match_cache_size=0)
-    plane = BrokerRepository(context)
-    datalog = BrokerRepository(context, engine="datalog")
-    repos = (scan, plane, datalog)
+
+@pytest.mark.parametrize("seed", [7, 23, 1999])
+def test_backends_agree_on_random_communities(seed):
+    rng = random.Random(seed)
+    ontologies, context = random_context(rng)
+    repo = BrokerRepository(context)
 
     ads = [random_ad(rng, f"agent-{i}", ontologies) for i in range(18)]
     for ad in ads:
-        for repo in repos:
-            repo.advertise(ad)
+        repo.advertise(ad)
 
     queries = [random_query(rng, ontologies) for _ in range(10)]
-    # Interleave repeats so the plane repo serves some from cache and
-    # the datalog repo reuses compiled query rules.
+    # Interleave repeats so some answers are served from the match cache.
     for query in queries + queries[: len(queries) // 2]:
-        expected = ranked(scan.query(query))
-        assert ranked(plane.query(query)) == expected
-        assert ranked(datalog.query(query)) == expected
+        assert_agrees_with_oracles(repo, query)
+    assert repo.stats.cache_hits == len(queries) // 2
 
-    # Churn: drop a third of the community, backends must stay aligned.
+    # Churn: drop a third of the community, the engine must stay aligned.
     for ad in ads[::3]:
-        for repo in repos:
-            assert repo.unadvertise(ad.agent_name)
+        assert repo.unadvertise(ad.agent_name)
     for query in queries:
-        expected = ranked(scan.query(query))
-        assert ranked(plane.query(query)) == expected
-        assert ranked(datalog.query(query)) == expected
+        assert_agrees_with_oracles(repo, query)
 
 
-def verdict_map(trail):
+def explained(repo, query):
+    """``(matches, trail)`` of one explain-mode ``repo.query``."""
+    sink = ExplainSink()
+    repo.context.explain_sink = sink
+    try:
+        matches = repo.query(query)
+    finally:
+        repo.context.explain_sink = None
+    assert len(sink.queries) == 1
+    return matches, sink.queries[0]
+
+
+def reject_map(trail):
     return {
-        verdict.agent: (verdict.accepted, verdict.reason, verdict.detail)
-        for verdict in trail.verdicts
+        verdict.agent: (verdict.reason, verdict.detail)
+        for verdict in trail.verdicts if not verdict.accepted
     }
+
+
+def assert_explanations_agree(repo, query):
+    """One verdict per stored advertisement; accepts are the plain
+    query's matches; rejects carry the reason and detail the scan and
+    the Datalog oracle assign."""
+    ads = repo.agent_ads()
+    answered = {m.agent_name for m in assert_agrees_with_oracles(repo, query)}
+    matches, trail = explained(repo, query)
+    assert trail.backend == "columnar"
+    assert sorted(v.agent for v in trail.verdicts) == sorted(
+        ad.agent_name for ad in ads)
+    assert {v.agent for v in trail.accepted()} == answered
+    assert {m.agent_name for m in matches} == answered
+
+    scan = ExplainSink()
+    match_advertisements(query, ads, repo.context, explain=scan)
+    assert reject_map(scan.queries[0]) == reject_map(trail)
+
+    datalog = QueryExplanation(fingerprint=query.fingerprint(), backend="datalog")
+    DatalogMatcher(repo.context).explain_rejects(
+        query, ads, [ad for ad in ads if ad.agent_name not in answered], datalog)
+    assert reject_map(datalog) == reject_map(trail)
 
 
 @pytest.mark.parametrize("seed", [11, 401, 7321])
 def test_backends_agree_on_explanations(seed):
-    """With explain enabled, every backend issues exactly one verdict
-    per advertisement per query, and all three agree on accept/reject,
-    the reject reason, and its detail.  The columnar backend routes
-    explain-mode queries through the canonical scan (labelled
-    ``columnar``) so its verdicts carry the same reasons."""
-    from repro.obs.explain import ExplainSink
-
+    """With explain enabled the repository issues exactly one verdict
+    per advertisement per query — through the canonical scan, bypassing
+    the plane and a warm match cache — and the scan function and the
+    Datalog oracle agree on accept/reject, the reject reason, and its
+    detail, before and after churn."""
     rng = random.Random(seed)
-    ontologies = {name: random_ontology(rng, name) for name in ONTOLOGY_NAMES}
-    context = MatchContext(
-        ontologies={name: pair[0] for name, pair in ontologies.items()}
-    )
-    backends = {
-        "scan": BrokerRepository(context, engine="direct", match_cache_size=0),
-        "columnar": BrokerRepository(context),
-        "datalog": BrokerRepository(context, engine="datalog"),
-    }
+    ontologies, context = random_context(rng)
+    repo = BrokerRepository(context)
 
     ads = [random_ad(rng, f"agent-{i}", ontologies) for i in range(15)]
     for ad in ads:
-        for repo in backends.values():
-            repo.advertise(ad)
-    expected_agents = sorted(ad.agent_name for ad in ads)
+        repo.advertise(ad)
 
     queries = [random_query(rng, ontologies) for _ in range(8)]
-    # The repeats hit the datalog backend's already-compiled rules and
-    # force the columnar backend to bypass a warm match cache.
     for query in queries + queries[: len(queries) // 2]:
-        trails = {}
-        for label, repo in backends.items():
-            sink = ExplainSink()
-            context.explain_sink = sink
-            try:
-                matches = repo.query(query)
-            finally:
-                context.explain_sink = None
-            assert len(sink.queries) == 1
-            trail = sink.queries[0]
-            assert trail.backend == label
-            # exactly one verdict per stored advertisement
-            assert sorted(v.agent for v in trail.verdicts) == expected_agents
-            # the trail's accepts are the query's matches
-            assert sorted(v.agent for v in trail.accepted()) == sorted(
-                m.agent_name for m in matches
-            )
-            trails[label] = trail
-        reference = verdict_map(trails["scan"])
-        assert verdict_map(trails["datalog"]) == reference
-        assert verdict_map(trails["columnar"]) == reference
+        assert_explanations_agree(repo, query)
+    for ad in ads[::3]:
+        assert repo.unadvertise(ad.agent_name)
+    for query in queries:
+        assert_explanations_agree(repo, query)
 
 
 def test_big_integer_endpoints_stay_exact():
@@ -223,10 +245,9 @@ def test_big_integer_endpoints_stay_exact():
         ("id between 0 and 10", below, []),  # simple ad, inexact query
         ("id > 5", touching, ["big"]),
     ]
-    for engine in ("direct", "columnar", "datalog"):
-        for advertised, asked, expected in cases:
-            repo = BrokerRepository(engine=engine)
-            repo.advertise(make_ad("big", constraints=advertised))
-            query = BrokerQuery(constraints=parse_constraint(asked))
-            assert [m.agent_name for m in repo.query(query)] == expected, (
-                engine, advertised, asked)
+    for advertised, asked, expected in cases:
+        repo = BrokerRepository()
+        repo.advertise(make_ad("big", constraints=advertised))
+        query = BrokerQuery(constraints=parse_constraint(asked))
+        matches = assert_agrees_with_oracles(repo, query)
+        assert [m.agent_name for m in matches] == expected, (advertised, asked)

@@ -43,7 +43,6 @@ from repro.ontology import demo_ontology
 from repro.ontology.demo import hierarchy_ontology
 from repro.relational import Table
 from repro.relational.generate import generate_table
-from repro.sim.config import SimConfig
 
 
 def fast_costs():
@@ -145,20 +144,6 @@ class TestResilienceConfig:
         with pytest.raises(AgentError):
             MrqResilienceConfig(**bad)
 
-    def test_sim_config_surface(self):
-        assert SimConfig().mrq_resilience() is None
-        cfg = SimConfig(mrq_failover=True, mrq_hedge=True,
-                        mrq_provider_timeout_s=9.0, mrq_max_providers=2,
-                        mrq_hedge_delay_s=3.0).mrq_resilience()
-        assert cfg.failover and cfg.hedge
-        assert cfg.provider_timeout == 9.0
-        assert cfg.max_providers_per_fragment == 2
-        assert cfg.hedge_delay_s == 3.0
-        with pytest.raises(ValueError):
-            SimConfig(mrq_provider_timeout_s=0.0)
-        with pytest.raises(ValueError):
-            SimConfig(mrq_max_providers=0)
-
 
 class TestProviderHealth:
     def test_fresh_provider_scores_initial_latency(self):
@@ -245,6 +230,14 @@ class Probe(Agent):
             ),
             extras=extras or {},
         )
+        self.issue(message)
+
+    def ask_sql(self, mrq, sql):
+        self.issue(KqmlMessage(
+            Performative.ASK_ALL, sender=self.name, receiver=mrq,
+            content=sql, language="SQL 2.0"))
+
+    def issue(self, message):
         result = HandlerResult()
         self.ask(message, lambda r, res: self.replies.append(r), result,
                  timeout=60.0)
@@ -478,6 +471,34 @@ class TestBrokerFailover:
         assert done.complete, (done.error, done.partial)
         assert done.result.row_count == 8
         assert counter_total(metrics, "mrq.broker_failover.count") >= 1
+
+    @pytest.mark.parametrize("offline, content, reason", [
+        (True, "no broker reachable", "broker-unreachable"),
+        (False, "no matching resources", None),
+    ])
+    def test_unreachable_broker_is_not_a_semantic_answer(
+            self, offline, content, reason):
+        """Regression: with its only broker dead the MRQ used to answer
+        "no matching resources" — indistinguishable from what a live
+        broker with nothing to recommend legitimately yields."""
+        onto = demo_ontology(1)
+        bus = MessageBus(fast_costs())
+        bus.register(BrokerAgent(
+            "broker1", context=MatchContext(ontologies={"demo": onto})))
+        bus.register(MultiResourceQueryAgent(
+            "mrq", "demo", ontology=onto,
+            config=AgentConfig(preferred_brokers=("broker1",), redundancy=1,
+                               reply_timeout=10.0)))  # < the probe's 60 s
+        probe = Probe("probe", config=AgentConfig(redundancy=0))
+        bus.register(probe)
+        bus.run_until(1.0)
+        bus.set_offline("broker1", offline)
+        probe.ask_sql("mrq", "select * from C1")
+        bus.run()
+        reply = probe.replies[0]
+        assert reply.performative is Performative.SORRY
+        assert reply.content == content
+        assert reply.extra("reason") == reason
 
 
 # ----------------------------------------------------------------------

@@ -5,17 +5,23 @@ capability closure, conversation) against the scan, the
 fingerprint-keyed match cache with its generation-counter invalidation,
 and — as a Hypothesis stateful model — in-place maintenance across
 advertise / re-advertise / unadvertise / agent-broker flips / crashes:
-the maintained plane, a plane freshly built from the store and the scan
-must always agree, and the id free list must keep the plane no wider
-than the peak live population.
+the maintained plane, a plane freshly built from the store, the scan
+and the Datalog oracle over an independently kept model must always
+agree, and the id free list must keep the plane no wider than the peak
+live population.
 """
 
-import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, rule
 
 from repro.constraints import parse_constraint
-from repro.core import BrokerQuery, BrokerRepository, MatchContext
+from repro.core import (
+    BrokerQuery,
+    BrokerRepository,
+    DatalogMatcher,
+    MatchContext,
+    match_advertisements,
+)
 from repro.core.columnar import ColumnarPlane
 from repro.ontology import healthcare_ontology
 from tests.test_core_matcher import make_ad
@@ -25,15 +31,18 @@ from tests.test_matchmaking_equivalence import ranked
 ONTOLOGIES = ["healthcare", "aerospace", "finance", ""]
 
 
-def build_repos(ads, **plane_kwargs):
-    """A linear-scan repository and a plane-backed one over the same ads."""
+def build_repo(ads, **kwargs):
+    """A default (plane-backed) repository over *ads*."""
     context = MatchContext(ontologies={"healthcare": healthcare_ontology()})
-    scan = BrokerRepository(context, engine="direct", match_cache_size=0)
-    indexed = BrokerRepository(context, **plane_kwargs)
+    repo = BrokerRepository(context, **kwargs)
     for ad in ads:
-        scan.advertise(ad)
-        indexed.advertise(ad)
-    return scan, indexed
+        repo.advertise(ad)
+    return repo
+
+
+def scan(repo, query):
+    """The reference: the per-advertisement matcher over what *repo* holds."""
+    return match_advertisements(query, repo.agent_ads(), repo.context, explain=None)
 
 
 def sample_ads():
@@ -50,22 +59,19 @@ def names(matches):
 
 class TestCandidateIndex:
     def test_same_results_with_and_without_index(self):
-        scan, indexed = build_repos(sample_ads())
+        indexed = build_repo(sample_ads())
         query = BrokerQuery(ontology_name="healthcare", classes=("patient",))
-        assert names(scan.query(query)) == names(indexed.query(query))
+        assert names(scan(indexed, query)) == names(indexed.query(query))
 
     def test_index_reduces_work(self):
-        scan, indexed = build_repos(sample_ads())
-        query = BrokerQuery(ontology_name="healthcare")
-        scan.query(query)
-        indexed.query(query)
-        assert (indexed.stats.advertisements_reasoned_over
-                < scan.stats.advertisements_reasoned_over)
+        indexed = build_repo(sample_ads())
+        indexed.query(BrokerQuery(ontology_name="healthcare"))
+        # A scan reasons over every stored advertisement.
+        assert indexed.stats.advertisements_reasoned_over < indexed.agent_count
         assert indexed.stats.candidates_pruned > 0
-        assert scan.stats.candidates_pruned == 0
 
     def test_unrestricted_ads_always_candidates(self):
-        _, indexed = build_repos(sample_ads())
+        indexed = build_repo(sample_ads())
         query = BrokerQuery(ontology_name="finance")
         matched = set(names(indexed.query(query)))
         # agents with ontology "" (content-unrestricted) must appear.
@@ -75,7 +81,7 @@ class TestCandidateIndex:
         )
 
     def test_no_indexed_dimension_scans_everything(self):
-        _, indexed = build_repos(sample_ads())
+        indexed = build_repo(sample_ads())
         indexed.query(BrokerQuery())
         assert indexed.stats.advertisements_reasoned_over == 12
         assert indexed.stats.candidates_pruned == 0
@@ -91,10 +97,10 @@ class TestCandidateIndex:
                make_ad("down", classes=(children[0],)) if children else None,
                make_ad("none", classes=())]
         ads = [ad for ad in ads if ad is not None]
-        scan, indexed = build_repos(ads)
+        indexed = build_repo(ads)
         for requested in [parent] + children[:1]:
             query = BrokerQuery(ontology_name="healthcare", classes=(requested,))
-            assert names(scan.query(query)) == names(indexed.query(query))
+            assert names(scan(indexed, query)) == names(indexed.query(query))
 
     def test_capability_index_expands_cover_closure(self):
         ads = [
@@ -102,12 +108,12 @@ class TestCandidateIndex:
             make_ad("special", functions=("select",)),
             make_ad("other", functions=("data-mining",)),
         ]
-        scan, indexed = build_repos(ads)
+        indexed = build_repo(ads)
         # "select" is served by the exact advertiser and by the
         # query-processing generalist, not by the data miner.
         query = BrokerQuery(capabilities=("select",))
         assert set(names(indexed.query(query))) == {"general", "special"}
-        assert names(scan.query(query)) == names(indexed.query(query))
+        assert names(scan(indexed, query)) == names(indexed.query(query))
         # An agent advertising only a *descendant* does not cover the
         # more general request.
         general = BrokerQuery(capabilities=("relational",))
@@ -116,16 +122,16 @@ class TestCandidateIndex:
     def test_conversation_index(self):
         ads = [make_ad("a", conversations=("ask-all", "subscribe")),
                make_ad("b", conversations=("ask-all",))]
-        scan, indexed = build_repos(ads)
+        indexed = build_repo(ads)
         query = BrokerQuery(conversations=("subscribe",))
         assert names(indexed.query(query)) == ["a"]
         assert indexed.stats.advertisements_reasoned_over == 1
-        assert names(scan.query(query)) == names(indexed.query(query))
+        assert names(scan(indexed, query)) == names(indexed.query(query))
 
 
 class TestAdvertisementLifecycle:
     def test_index_tracks_updates_and_removal(self):
-        _, indexed = build_repos(sample_ads())
+        indexed = build_repo(sample_ads())
         # Re-advertise agent0 under a different ontology.
         indexed.advertise(make_ad("agent0", ontology="finance"))
         healthcare = set(names(indexed.query(BrokerQuery(ontology_name="healthcare"))))
@@ -166,18 +172,10 @@ class TestAdvertisementLifecycle:
         assert repo.broker_names() == []
         assert names(repo.query(BrokerQuery(ontology_name="finance"))) == ["flip"]
 
-    def test_broker_to_agent_flip_in_datalog_backend(self):
-        repo = BrokerRepository(MatchContext(), engine="datalog")
-        repo.advertise(make_ad("flip", ontology="finance", classes=()))
-        repo.advertise(broker_ad("flip"))
-        assert repo.query(BrokerQuery(ontology_name="finance")) == []
-        repo.advertise(make_ad("flip", ontology="finance", classes=()))
-        assert names(repo.query(BrokerQuery(ontology_name="finance"))) == ["flip"]
-
 
 class TestMatchCache:
     def test_repeated_query_hits_cache(self):
-        _, repo = build_repos(sample_ads())
+        repo = build_repo(sample_ads())
         query = BrokerQuery(ontology_name="healthcare")
         first = repo.query(query)
         reasoned = repo.stats.advertisements_reasoned_over
@@ -188,13 +186,13 @@ class TestMatchCache:
         assert repo.stats.advertisements_reasoned_over == reasoned
 
     def test_equivalent_queries_share_cache_entry(self):
-        _, repo = build_repos(sample_ads())
+        repo = build_repo(sample_ads())
         repo.query(BrokerQuery(capabilities=("select", "join")))
         repo.query(BrokerQuery(capabilities=("join", "select")))
         assert repo.stats.cache_hits == 1
 
     def test_advertise_bumps_generation_and_invalidates(self):
-        _, repo = build_repos(sample_ads())
+        repo = build_repo(sample_ads())
         query = BrokerQuery(ontology_name="healthcare", classes=("patient",))
         before = set(names(repo.query(query)))
         generation = repo.generation
@@ -206,7 +204,7 @@ class TestMatchCache:
         assert repo.stats.cache_hits == 0
 
     def test_unadvertise_bumps_generation_and_invalidates(self):
-        _, repo = build_repos(sample_ads())
+        repo = build_repo(sample_ads())
         query = BrokerQuery(ontology_name="healthcare")
         matched = names(repo.query(query))
         assert matched
@@ -217,13 +215,12 @@ class TestMatchCache:
 
     def test_broker_ad_churn_also_invalidates(self):
         # Conservative: any repository mutation bumps the generation.
-        _, repo = build_repos(sample_ads())
+        repo = build_repo(sample_ads())
         generation = repo.generation
         repo.advertise(broker_ad("b-late"))
         assert repo.generation > generation
 
-    @pytest.mark.parametrize("engine", ["direct", "columnar"])
-    def test_ontology_mutation_bumps_generation_and_invalidates(self, engine):
+    def test_ontology_mutation_bumps_generation_and_invalidates(self):
         """Regression: the generation stamp must also move when the
         shared ontology mutates, not only on advertise traffic — a
         cached match list built under the old class hierarchy would
@@ -234,7 +231,7 @@ class TestMatchCache:
 
         ontology = healthcare_ontology()
         context = MatchContext(ontologies={"healthcare": ontology})
-        repo = BrokerRepository(context, engine=engine)
+        repo = BrokerRepository(context)
         # The advertised class is unknown to the ontology, so it is
         # unrelated to "patient" — the query caches an empty answer.
         repo.advertise(make_ad("late-vocab", classes=("telemetry-record",)))
@@ -247,13 +244,12 @@ class TestMatchCache:
         assert repo.generation > generation
         assert names(repo.query(query)) == ["late-vocab"]
 
-    @pytest.mark.parametrize("engine", ["direct", "columnar"])
-    def test_ontology_reload_bumps_generation(self, engine):
+    def test_ontology_reload_bumps_generation(self):
         """Swapping in a *new* ontology object under the same name (an
         ontology-server reload) must invalidate too, even though no
         repository mutation happened."""
         context = MatchContext(ontologies={"healthcare": healthcare_ontology()})
-        repo = BrokerRepository(context, engine=engine)
+        repo = BrokerRepository(context)
         repo.advertise(make_ad("steady", classes=("patient",)))
         query = BrokerQuery(ontology_name="healthcare", classes=("patient",))
         assert names(repo.query(query)) == ["steady"]
@@ -266,7 +262,7 @@ class TestMatchCache:
         assert repo.stats.cache_hits == 0
 
     def test_cache_disabled(self):
-        _, repo = build_repos(sample_ads(), match_cache_size=0)
+        repo = build_repo(sample_ads(), match_cache_size=0)
         query = BrokerQuery(ontology_name="healthcare")
         repo.query(query)
         repo.query(query)
@@ -274,7 +270,7 @@ class TestMatchCache:
         assert repo.stats.cache_misses == 0
 
     def test_cache_eviction_is_bounded(self):
-        _, repo = build_repos(sample_ads(), match_cache_size=2)
+        repo = build_repo(sample_ads(), match_cache_size=2)
         for ontology in ("healthcare", "aerospace", "finance"):
             repo.query(BrokerQuery(ontology_name=ontology))
         assert len(repo._match_cache) <= 2
@@ -283,7 +279,7 @@ class TestMatchCache:
         assert repo.stats.cache_hits == 0
 
     def test_cached_results_are_copies(self):
-        _, repo = build_repos(sample_ads())
+        repo = build_repo(sample_ads())
         query = BrokerQuery(ontology_name="healthcare")
         first = repo.query(query)
         first.append("sentinel")
@@ -298,13 +294,13 @@ class TestMatchCache:
 def test_property_index_is_invisible(ontologies, query_ontology):
     ads = [make_ad(f"a{i}", ontology=o, classes=())
            for i, o in enumerate(ontologies)]
-    scan, indexed = build_repos(ads)
+    indexed = build_repo(ads)
     for query in (
         BrokerQuery(ontology_name=query_ontology),
         BrokerQuery(agent_type="resource"),
         BrokerQuery(ontology_name=query_ontology, content_language="SQL 2.0"),
     ):
-        assert names(scan.query(query)) == names(indexed.query(query))
+        assert names(scan(indexed, query)) == names(indexed.query(query))
 
 
 # ----------------------------------------------------------------------
@@ -372,25 +368,31 @@ def broker_queries(draw):
 
 
 class MaintainedPlaneMachine(RuleBasedStateMachine):
-    """Every step mutates a plane-backed repository and the reference
-    scan alike, then checks a drawn query three ways."""
+    """Every step mutates a repository and a plain model of what it
+    should hold alike, then checks a drawn query against the scan and
+    the Datalog oracle over that model."""
 
     def __init__(self):
         super().__init__()
         context = MatchContext(ontologies={"healthcare": healthcare_ontology()})
-        self.scan = BrokerRepository(context, engine="direct", match_cache_size=0)
         self.repo = BrokerRepository(context)
+        self.agents = {}  # name -> advertisement, insertion-ordered
+        self.brokers = set()
         self.peak_live = 0
 
     def check(self, query):
         repo = self.repo
         plane = repo._plane
-        expected = ranked(self.scan.query(query))
+        ads = list(self.agents.values())
+        assert repo.agent_names() == sorted(self.agents)
+        expected = ranked(match_advertisements(query, ads, repo.context))
         assert ranked(repo.query(query)) == expected
         assert ranked(repo.query(query)) == expected  # now from the cache
         assert ranked(plane.match(query, repo.context)[0]) == expected
         fresh = ColumnarPlane.compile(repo.agent_ads(), repo.store.get_agent)
         assert ranked(fresh.match(query, repo.context)[0]) == expected
+        assert DatalogMatcher(repo.context).match_names(query, ads) == {
+            name for name, _score, _slots in expected}
         # The free list works: no id beyond the peak live population.
         assert len(plane) == repo.agent_count
         self.peak_live = max(self.peak_live, repo.agent_count)
@@ -399,26 +401,32 @@ class MaintainedPlaneMachine(RuleBasedStateMachine):
     @rule(ad=agent_ads(), query=broker_queries())
     def advertise(self, ad, query):
         # Over six names, most draws re-advertise with changed content.
-        self.scan.advertise(ad)
         self.repo.advertise(ad)
+        self.agents.pop(ad.agent_name, None)  # a re-advertisement moves last
+        self.agents[ad.agent_name] = ad
+        self.brokers.discard(ad.agent_name)
         self.check(query)
 
     @rule(name=AGENTS, query=broker_queries())
     def unadvertise(self, name, query):
-        assert self.repo.unadvertise(name) == self.scan.unadvertise(name)
+        known = name in self.agents or name in self.brokers
+        assert self.repo.unadvertise(name) == known
+        self.agents.pop(name, None)
+        self.brokers.discard(name)
         self.check(query)
 
     @rule(name=AGENTS, query=broker_queries())
     def flip_to_broker(self, name, query):
-        self.scan.advertise(broker_ad(name))
         self.repo.advertise(broker_ad(name))
-        assert name not in self.repo.agent_names()
+        self.agents.pop(name, None)
+        self.brokers.add(name)
         self.check(query)
 
     @rule(query=broker_queries())
     def crash(self, query):
-        self.scan = self.scan.clone_empty()
         self.repo = self.repo.clone_empty()
+        self.agents.clear()
+        self.brokers.clear()
         self.peak_live = 0
         self.check(query)
 

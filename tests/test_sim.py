@@ -95,6 +95,42 @@ class TestSimConfig:
         assert SimConfig(strategy=BrokerStrategy.REPLICATED).query_hop_count() == 0
         assert SimConfig(strategy=BrokerStrategy.SPECIALIZED, hop_count=2).query_hop_count() == 2
 
+    def test_no_dead_knobs(self):
+        """Every field is read by some module under ``src/repro`` other
+        than ``sim/config.py`` — directly, or through a ``SimConfig``
+        method or property such a module reads.  Validation in
+        ``__post_init__`` does not count as a use."""
+        import ast
+        import dataclasses
+        import pathlib
+        import re
+
+        import repro
+
+        root = pathlib.Path(repro.__file__).parent
+        config_py = root / "sim" / "config.py"
+        elsewhere = "\n".join(path.read_text(encoding="utf-8")
+                              for path in sorted(root.rglob("*.py"))
+                              if path != config_py)
+        cls = next(node for node in ast.parse(config_py.read_text()).body
+                   if isinstance(node, ast.ClassDef) and node.name == "SimConfig")
+        accessors = {}  # attribute -> SimConfig methods reading self.<attribute>
+        for method in cls.body:
+            if isinstance(method, ast.FunctionDef) and not method.name.startswith("__"):
+                for node in ast.walk(method):
+                    if (isinstance(node, ast.Attribute)
+                            and isinstance(node.value, ast.Name)
+                            and node.value.id == "self"):
+                        accessors.setdefault(node.attr, set()).add(method.name)
+
+        def live(name, seen=()):
+            return re.search(rf"\.{name}\b", elsewhere) is not None or any(
+                live(method, (*seen, name))
+                for method in accessors.get(name, ()) if method not in seen)
+
+        dead = [f.name for f in dataclasses.fields(SimConfig) if not live(f.name)]
+        assert dead == []
+
 
 class TestFailureSchedule:
     def test_windows_alternate_and_stay_in_horizon(self):

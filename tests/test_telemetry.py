@@ -470,7 +470,7 @@ class TestPhaseProfiler:
         from repro.core import BrokerQuery, BrokerRepository
         from tests.test_core_matcher import make_ad
 
-        repo = BrokerRepository(engine="columnar")
+        repo = BrokerRepository()
         for i in range(12):
             repo.advertise(make_ad(f"a{i}", ontology="healthcare"))
         with profiling():
