@@ -54,15 +54,15 @@ from repro.ontology.service import (
     ServiceDescription,
     SyntacticInfo,
 )
-from repro.relational.fragmentation import join_on_key, union_all
-from repro.relational.schema import Column, Schema
+from repro.relational.fragmentation import join_on_key, keyed_on, union_all
+from repro.relational.schema import Column, Schema, SchemaError
 from repro.relational.table import Table
 from repro.sql.ast import Select, predicate_columns
 from repro.sql.errors import SqlError
 from repro.sql.executor import (
     QueryResult,
-    evaluate_predicate,
     parse_select_cached,
+    select_rows,
     where_to_constraint,
 )
 from repro.sql.render import render_select
@@ -852,6 +852,14 @@ class MultiResourceQueryAgent(Agent):
             return
         if self._executions.pop(execution.exec_id, None) is None:
             return
+        shapes, rejected = _load_shapes(
+            [(run.winner, run.answer) for run in execution.runs
+             if run.winner is not None]
+        )
+        for run in execution.runs:
+            if run.winner in rejected:
+                run.failures.append((run.winner, "sorry:schema"))
+                run.winner = None
         results = [
             (run.winner, run.answer)
             for run in execution.runs
@@ -896,6 +904,7 @@ class MultiResourceQueryAgent(Agent):
             execution.select,
             execution.ontology,
             results,
+            shapes,
             pushed_down,
             partial_extras,
             result,
@@ -916,6 +925,13 @@ class MultiResourceQueryAgent(Agent):
             self._assemble(plan, result)
 
     def _assemble(self, plan: _Plan, result: HandlerResult) -> None:
+        shapes, rejected = _load_shapes(plan.results)
+        if rejected:
+            plan.failures.extend((name, "sorry:schema") for name in rejected)
+            plan.results = [
+                (name, reply) for name, reply in plan.results
+                if name not in rejected
+            ]
         if not plan.results:
             extras = {}
             if plan.failures:
@@ -963,6 +979,7 @@ class MultiResourceQueryAgent(Agent):
             plan.select,
             plan.ontology,
             plan.results,
+            shapes,
             plan.pushed_down,
             partial_extras,
             result,
@@ -974,44 +991,32 @@ class MultiResourceQueryAgent(Agent):
         select: Select,
         ontology: Optional[Ontology],
         results: List[Tuple[str, QueryResult]],
+        shapes: List[Table],
         pushed_down: Dict[str, bool],
         partial_extras: Dict[str, object],
         result: HandlerResult,
     ) -> None:
+        """Combine *shapes* (the loaded *results*, see ``_load_shapes``)
+        into the extent and answer *select* over it."""
         key = self._query_key(select, ontology)
-        groups: Dict[frozenset, List[Table]] = {}
-        total_bytes = 0
-        for index, (resource, query_result) in enumerate(results):
-            total_bytes += query_result.bytes_returned
-            table = _table_from_result(f"r{index}", query_result)
-            groups.setdefault(frozenset(query_result.columns), []).append(table)
-
-        shapes = [union_all(tables, name=f"shape{i}") for i, tables in
-                  enumerate(groups.values())]
         if len(shapes) == 1:
             assembled = shapes[0]
         elif key is not None and all(key in t.schema for t in shapes):
-            assembled = join_on_key([_rekey(t, key) for t in shapes])
+            assembled = join_on_key([keyed_on(t, key) for t in shapes])
         else:
             assembled = union_all(shapes, name="assembled")
 
-        rows = list(assembled.rows())
         where = select.where
-        if where is not None and not all(pushed_down.values()):
-            rows = [row for row in rows if evaluate_predicate(where, row)]
-
-        columns = self._final_columns(select, assembled)
-        if select.order_by is not None and select.order_by.column in assembled.schema:
-            order = select.order_by
-            rows.sort(key=lambda r: (r[order.column] is None, r[order.column]),
-                      reverse=order.descending)
-        if select.limit is not None:
-            rows = rows[: select.limit]
-        projected = tuple(
-            {name: row.get(name) for name in columns} for row in rows
-        )
-        final = QueryResult(columns=tuple(columns), rows=projected,
+        if where is not None and all(pushed_down.values()):
+            where = None  # every resource already applied it
+        order = select.order_by
+        if order is not None and order.column not in assembled.schema:
+            order = None
+        columns = tuple(select.columns or assembled.schema.names)
+        rows = select_rows(assembled, columns, where, order, select.limit)
+        final = QueryResult(columns=columns, rows=rows,
                             rows_scanned=sum(qr.rows_scanned for _, qr in results))
+        total_bytes = sum(qr.bytes_returned for _, qr in results)
 
         result.cost_seconds += self.cost_model.resource_query_seconds(
             total_bytes / 1_000_000.0
@@ -1033,11 +1038,6 @@ class MultiResourceQueryAgent(Agent):
         if ontology is not None and select.table in ontology:
             return ontology.key_of(select.table)
         return None
-
-    def _final_columns(self, select: Select, assembled: Table) -> List[str]:
-        if select.columns:
-            return list(select.columns)
-        return assembled.schema.column_names()
 
 
 def _fragment_label(sub_select: Select) -> str:
@@ -1086,36 +1086,53 @@ def _partial_detail(
     }
 
 
-def _table_from_result(name: str, query_result: QueryResult) -> Table:
-    """Materialize a resource's reply as a typed table (types inferred)."""
+def _load_shapes(
+    results: Sequence[Tuple[str, QueryResult]],
+) -> Tuple[List[Table], List[str]]:
+    """One typed table per reply *shape* (set of columns), in first-seen
+    order, holding the rows of every reply of the shape in reply order,
+    each loaded once; plus the providers whose rows their shape's schema
+    rejected (none of their rows are kept)."""
+    groups: Dict[frozenset, List[Tuple[str, QueryResult]]] = {}
+    for provider, reply in results:
+        groups.setdefault(frozenset(reply.columns), []).append((provider, reply))
+    shapes: List[Table] = []
+    rejected: List[str] = []
+    for replies in groups.values():
+        table = Table(
+            f"shape{len(shapes)}",
+            _infer_schema([reply for _, reply in replies]),
+        )
+        accepted = False
+        for provider, reply in replies:
+            try:
+                table.insert_many(reply.rows)
+            except SchemaError:
+                rejected.append(provider)
+            else:
+                accepted = True
+        if accepted:
+            shapes.append(table)
+    return shapes, rejected
+
+
+def _infer_schema(replies: Sequence[QueryResult]) -> Schema:
+    """The first reply's columns, each typed from its first non-NULL
+    value in any of *replies* — one reply whose column is all NULL must
+    not decide the type for its siblings — and ``string`` when every
+    value is NULL."""
     columns = []
-    for column in query_result.columns:
-        col_type = "string"
-        for row in query_result.rows:
-            value = row.get(column)
-            if value is None:
-                continue
-            if isinstance(value, bool):
-                col_type = "bool"
-            elif isinstance(value, (int, float)):
-                col_type = "number"
-            break
-        columns.append(Column(column, col_type))
-    table = Table(name, Schema(tuple(columns)))
-    for row in query_result.rows:
-        table.insert(row)
-    return table
-
-
-def _rekey(table: Table, key: str) -> Table:
-    """A copy of *table* whose schema declares *key* (deduplicating rows
-    that collide on the key, which replicated resources can produce)."""
-    rekeyed = Table(table.name, Schema(table.schema.columns, key=key))
-    seen = set()
-    for row in table.rows():
-        value = row.get(key)
-        if value in seen or value is None:
-            continue
-        seen.add(value)
-        rekeyed.insert(row)
-    return rekeyed
+    for name in replies[0].columns:
+        value = next(
+            (row[name] for reply in replies for row in reply.rows
+             if row.get(name) is not None),
+            None,
+        )
+        if isinstance(value, bool):
+            col_type = "bool"
+        elif isinstance(value, (int, float)):
+            col_type = "number"
+        else:
+            col_type = "string"
+        columns.append(Column(name, col_type))
+    return Schema(tuple(columns))

@@ -14,6 +14,7 @@ from repro.relational.fragmentation import (
     horizontal_fragments,
     horizontal_fragments_by_predicate,
     join_on_key,
+    keyed_on,
     union_all,
     vertical_fragments,
 )
@@ -30,6 +31,7 @@ __all__ = [
     "horizontal_fragments",
     "horizontal_fragments_by_predicate",
     "join_on_key",
+    "keyed_on",
     "union_all",
     "vertical_fragments",
 ]

@@ -11,7 +11,7 @@ The paper's experiment streams exercise exactly these layouts:
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 from repro.relational.schema import Column, Schema, SchemaError
 from repro.relational.table import Table, TableError
@@ -113,28 +113,45 @@ def join_on_key(fragments: Sequence[Table]) -> Table:
     if key is None or any(f.schema.key != key for f in fragments):
         raise TableError("all fragments must share the same key column")
 
-    columns: List[Column] = []
-    seen = set()
+    by_name: Dict[str, Column] = {}
     for fragment in fragments:
         for col in fragment.schema.columns:
-            if col.name not in seen:
-                columns.append(col)
-                seen.add(col.name)
-    schema = Schema(tuple(columns), key=key)
+            by_name.setdefault(col.name, col)
+    schema = Schema(tuple(by_name.values()), key=key)
 
     merged: Dict[object, dict] = {}
-    order: List[object] = []
     for fragment in fragments:
-        for row in fragment.rows():
-            key_value = row[key]
-            if key_value not in merged:
-                merged[key_value] = {c.name: None for c in columns}
-                order.append(key_value)
-            merged[key_value].update(row)
+        for row in fragment._rows:
+            target = merged.get(row[key])
+            if target is None:
+                target = merged[row[key]] = dict.fromkeys(schema.names)
+            target.update(row)
 
+    # A column is already checked only if every fragment carrying the
+    # name types it as the result does.
+    checked = [
+        col for col in schema.columns
+        if all(f.schema.column(col.name) == col
+               for f in fragments if col.name in f.schema)
+    ]
     result = Table(f"join({', '.join(f.name for f in fragments)})", schema)
-    for key_value in order:
-        result.insert(merged[key_value])
+    result._adopt(list(merged.values()), checked)
+    return result
+
+
+def keyed_on(table: Table, key: str) -> Table:
+    """*table* with *key* declared as its key: the first row of each key
+    value, rows with a NULL key dropped (replicated resources return the
+    same entity more than once).  The rows are shared, not copied."""
+    result = Table(table.name, Schema(table.schema.columns, key=key))
+    seen = set()
+    distinct = []
+    for row in table._rows:
+        value = row[key]
+        if value is not None and value not in seen:
+            seen.add(value)
+            distinct.append(row)
+    result._adopt(distinct, table.schema.columns)
     return result
 
 
@@ -144,7 +161,8 @@ def union_all(tables: Sequence[Table], name: str = "union") -> Table:
     The result has the columns common to every input, in the first
     table's order; duplicate rows are preserved (UNION ALL).  The result
     is unkeyed because key uniqueness cannot be guaranteed across
-    sources.
+    sources.  A table whose columns are exactly the result's shares its
+    rows with it; any other is projected, one copy per row.
     """
     if not tables:
         raise TableError("nothing to union")
@@ -158,6 +176,8 @@ def union_all(tables: Sequence[Table], name: str = "union") -> Table:
     columns = tuple(tables[0].schema.column(n) for n in shared)
     result = Table(name, Schema(columns, key=None))
     for table in tables:
-        for row in table.rows():
-            result.insert({col: row[col] for col in shared})
+        rows = table._rows
+        if table.schema.columns != columns:
+            rows = [{col: row[col] for col in shared} for row in rows]
+        result._adopt(rows, table.schema.columns)
     return result

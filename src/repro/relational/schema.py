@@ -2,8 +2,8 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from dataclasses import dataclass, field
+from typing import Dict, FrozenSet, List, Optional, Tuple
 
 from repro.ontology.model import Ontology
 
@@ -16,6 +16,13 @@ _PYTHON_TYPES = {
     "number": (int, float),
     "string": (str,),
     "bool": (bool,),
+}
+
+#: The classes a column type accepts without looking further; a value of
+#: any other class (a subclass, or ``bool`` offered as a number) is
+#: decided by :meth:`Column.accepts`.
+_EXACT_TYPES = {
+    col_type: frozenset(classes) for col_type, classes in _PYTHON_TYPES.items()
 }
 
 
@@ -39,6 +46,11 @@ class Column:
             return False
         return isinstance(value, _PYTHON_TYPES[self.col_type])
 
+    def rejection(self, value) -> SchemaError:
+        return SchemaError(
+            f"column {self.name!r} ({self.col_type}) rejects {value!r}"
+        )
+
 
 @dataclass(frozen=True)
 class Schema:
@@ -46,17 +58,34 @@ class Schema:
 
     columns: Tuple[Column, ...]
     key: Optional[str] = None
+    # Derived from ``columns`` once (a schema is immutable) because row
+    # validation reads them per cell; they take no part in equality,
+    # hashing or repr.
+    names: Tuple[str, ...] = field(init=False, repr=False, compare=False)
+    _by_name: Dict[str, Column] = field(init=False, repr=False, compare=False)
+    #: (name, classes accepted outright, column) per column, in order.
+    _cell_checks: Tuple[Tuple[str, FrozenSet[type], Column], ...] = field(
+        init=False, repr=False, compare=False
+    )
 
     def __post_init__(self):
         if not isinstance(self.columns, tuple):
             object.__setattr__(self, "columns", tuple(self.columns))
         if not self.columns:
             raise SchemaError("schema needs at least one column")
-        names = [c.name for c in self.columns]
-        if len(names) != len(set(names)):
+        names = tuple(c.name for c in self.columns)
+        by_name = dict(zip(names, self.columns))
+        if len(by_name) != len(names):
             raise SchemaError("duplicate column names")
-        if self.key is not None and self.key not in names:
+        if self.key is not None and self.key not in by_name:
             raise SchemaError(f"key {self.key!r} is not a column")
+        object.__setattr__(self, "names", names)
+        object.__setattr__(self, "_by_name", by_name)
+        object.__setattr__(
+            self,
+            "_cell_checks",
+            tuple((c.name, _EXACT_TYPES[c.col_type], c) for c in self.columns),
+        )
 
     @classmethod
     def from_class(cls, ontology: Ontology, class_name: str) -> "Schema":
@@ -66,16 +95,16 @@ class Schema:
         return cls(columns, key=ontology.key_of(class_name))
 
     def column_names(self) -> List[str]:
-        return [c.name for c in self.columns]
+        return list(self.names)
 
     def column(self, name: str) -> Column:
-        for col in self.columns:
-            if col.name == name:
-                return col
-        raise SchemaError(f"no column named {name!r}")
+        try:
+            return self._by_name[name]
+        except KeyError:
+            raise SchemaError(f"no column named {name!r}") from None
 
     def __contains__(self, name: str) -> bool:
-        return any(c.name == name for c in self.columns)
+        return name in self._by_name
 
     def project(self, names: List[str]) -> "Schema":
         """A schema with only *names*, keeping the key if it survives."""
@@ -84,12 +113,17 @@ class Schema:
         return Schema(columns, key=key)
 
     def validate_row(self, row: dict) -> None:
-        for col in self.columns:
-            if col.name in row and not col.accepts(row[col.name]):
-                raise SchemaError(
-                    f"column {col.name!r} ({col.col_type}) rejects "
-                    f"{row[col.name]!r}"
-                )
-        unknown = set(row) - set(self.column_names())
-        if unknown:
-            raise SchemaError(f"row has unknown columns: {sorted(unknown)}")
+        for name, exact, column in self._cell_checks:
+            value = row.get(name)
+            if (
+                value is not None
+                and type(value) not in exact
+                and not column.accepts(value)
+            ):
+                raise column.rejection(value)
+        if not row.keys() <= self._by_name.keys():
+            raise self.unknown_columns(row)
+
+    def unknown_columns(self, row: dict) -> SchemaError:
+        unknown = sorted(set(row) - self._by_name.keys())
+        return SchemaError(f"row has unknown columns: {unknown}")

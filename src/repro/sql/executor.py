@@ -12,6 +12,7 @@ agent send the broker data constraints derived from a user query.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Dict, List, Mapping, Optional, Tuple
 
 from repro.constraints import Atom, Constraint, Op
@@ -23,6 +24,7 @@ from repro.sql.ast import (
     InList,
     Not,
     Or,
+    OrderBy,
     Predicate,
     Select,
 )
@@ -108,7 +110,7 @@ def execute_select(select: Select, catalog: Mapping[str, Table]) -> QueryResult:
         raise SqlExecutionError(f"unknown table {select.table!r}")
 
     if select.columns is None:
-        columns = tuple(table.schema.column_names())
+        columns = table.schema.names
     else:
         for name in select.columns:
             if name not in table.schema:
@@ -117,27 +119,28 @@ def execute_select(select: Select, catalog: Mapping[str, Table]) -> QueryResult:
                 )
         columns = select.columns
 
-    matched: List[dict] = []
-    scanned = 0
-    for row in table.rows():
-        scanned += 1
-        if select.where is None or evaluate_predicate(select.where, row):
-            matched.append(row)
+    order = select.order_by
+    if order is not None and order.column not in table.schema:
+        raise SqlExecutionError(f"cannot ORDER BY unknown column {order.column!r}")
+    rows = select_rows(table, columns, select.where, order, select.limit)
+    return QueryResult(columns=columns, rows=rows, rows_scanned=len(table))
 
-    if select.order_by is not None:
-        key = select.order_by.column
-        if key not in table.schema:
-            raise SqlExecutionError(f"cannot ORDER BY unknown column {key!r}")
-        matched.sort(
-            key=lambda r: (r[key] is None, r[key]),
-            reverse=select.order_by.descending,
-        )
 
-    if select.limit is not None:
-        matched = matched[: select.limit]
-
-    projected = tuple({name: row[name] for name in columns} for row in matched)
-    return QueryResult(columns=columns, rows=projected, rows_scanned=scanned)
+def select_rows(
+    table: Table,
+    columns: Tuple[str, ...],
+    where: Optional[Predicate],
+    order_by: Optional[OrderBy],
+    limit: Optional[int],
+) -> Tuple[dict, ...]:
+    """``Table.select`` driven by the AST's WHERE / ORDER BY nodes."""
+    return tuple(table.select(
+        columns,
+        predicate=partial(evaluate_predicate, where) if where is not None else None,
+        order_by=order_by.column if order_by is not None else None,
+        descending=order_by is not None and order_by.descending,
+        limit=limit,
+    ))
 
 
 _parse_cache: Dict[str, Select] = {}

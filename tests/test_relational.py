@@ -3,6 +3,7 @@
 import pytest
 
 from repro.ontology import demo_ontology, healthcare_ontology
+from repro.sql import execute_select, parse_select
 from repro.relational import (
     Column,
     Schema,
@@ -13,6 +14,7 @@ from repro.relational import (
     generate_table,
     horizontal_fragments,
     join_on_key,
+    keyed_on,
     union_all,
     vertical_fragments,
 )
@@ -190,6 +192,135 @@ class TestHorizontalFragmentationAndUnion:
         s2 = Schema((Column("y", "number"),))
         with pytest.raises(TableError):
             union_all([Table("a", s1), Table("b", s2)])
+
+
+class TestBulkLoad:
+    def test_rejected_load_leaves_table_unchanged(self):
+        table = keyed_table()
+        before = table.scan()
+        with pytest.raises(SchemaError):
+            table.insert_many([{"id": 7, "a": 1}, {"id": 8, "a": "oops"}])
+        with pytest.raises(TableError):
+            table.insert_many([{"id": 9}, {"id": 9}])
+        with pytest.raises(TableError):
+            table.insert_many([{"id": 10}, {"id": 1}])
+        assert table.scan() == before
+        assert table.lookup(7) is None and table.lookup(9) is None
+
+    def test_unknown_column_beside_a_missing_one(self):
+        # Same number of keys as the schema has columns, one of them alien.
+        with pytest.raises(SchemaError):
+            keyed_table().insert({"id": 7, "a": 1, "b": "x", "ghost": 2})
+
+    def test_subclass_values_take_the_slow_check(self):
+        class Name(str):
+            pass
+
+        table = Table("t", Schema((Column("s", "string"), Column("n", "number"))))
+        table.insert({"s": Name("x"), "n": 1})
+        with pytest.raises(SchemaError):
+            table.insert({"n": True})  # bool is an int subclass, not a number
+        assert table.scan() == [{"s": "x", "n": 1}]
+
+
+class TestSelect:
+    def test_filter_order_limit_project(self):
+        table = keyed_table()
+        rows = table.select(["b", "c"], predicate=lambda r: r["a"] >= 20,
+                            order_by="c", descending=True, limit=3)
+        assert rows == [{"b": "s2", "c": 2}, {"b": "s5", "c": 2},
+                        {"b": "s4", "c": 1}]
+
+    def test_nulls_sort_last(self):
+        table = Table("t", Schema((Column("v", "number"),)),
+                      [{"v": 2}, {"v": None}, {"v": 1}])
+        assert [r["v"] for r in table.select(["v"], order_by="v")] == [1, 2, None]
+
+    def test_absent_column_projects_as_none(self):
+        assert keyed_table().select(["id", "ghost"], limit=1) == [
+            {"id": 1, "ghost": None}
+        ]
+
+
+def number_table(name, rows, v_type="number", extra=None):
+    columns = [Column("id", "number"), Column("v", v_type)]
+    if extra:
+        columns.append(Column(extra, "string"))
+    return Table(name, Schema(tuple(columns)), rows)
+
+
+class TestStoredRowSharing:
+    """Derived tables may hold the very dicts of their sources (DESIGN.md,
+    relational section); nothing a caller can reach is one of them."""
+
+    def test_mutating_any_handed_out_row_changes_no_table(self):
+        t1 = number_table("t1", [{"id": 1, "v": 10}, {"id": 2, "v": 20}])
+        t2 = number_table("t2", [{"id": 2, "v": 21}, {"id": None, "v": 30}])
+        union = union_all([t1, t2])
+        keyed = keyed_on(union, "id")
+        other = Table("o", Schema((Column("id", "number"), Column("w", "string")),
+                                  key="id"), [{"id": 1, "w": "x"}])
+        joined = join_on_key([keyed, other])
+        tables = [t1, t2, union, keyed, other, joined]
+        before = [t.scan() for t in tables]
+        assert [t.row_count for t in tables] == [2, 2, 4, 2, 1, 2]
+
+        star = parse_select("select * from t")
+        some = parse_select("select id from t where id >= 1 order by id desc")
+        for table in tables:
+            handed_out = [*table.rows(), *table.scan(),
+                          *table.scan(lambda row: True),
+                          *table.select(table.schema.names),
+                          *table.select(["id"]),
+                          *execute_select(star, {"t": table}).rows,
+                          *execute_select(some, {"t": table}).rows]
+            for key_value in (1, 2):
+                found = table.lookup(key_value)
+                if found is not None:
+                    handed_out.append(found)
+            for row in handed_out:
+                for name in list(row):
+                    row[name] = "clobbered"
+                row["extra"] = 1
+        assert [t.scan() for t in tables] == before
+
+    def test_union_revalidates_a_differently_typed_column(self):
+        numbers = number_table("n", [{"id": 1, "v": 7}])
+        strings = number_table("s", [{"id": 2, "v": "seven"}], v_type="string")
+        with pytest.raises(SchemaError):
+            union_all([numbers, strings])
+        with pytest.raises(SchemaError):
+            union_all([strings, numbers])
+
+    def test_union_projects_when_shared_column_types_differ(self):
+        numbers = number_table("n", [{"id": 1, "v": 7, "x": "a"}], extra="x")
+        nulls = number_table("s", [{"id": 2, "v": None, "y": "b"}],
+                             v_type="string", extra="y")
+        merged = union_all([numbers, nulls])
+        assert merged.schema.names == ("id", "v")
+        assert merged.schema.column("v").col_type == "number"
+        assert merged.scan() == [{"id": 1, "v": 7}, {"id": 2, "v": None}]
+        with pytest.raises(SchemaError):  # 7 is no string
+            union_all([nulls, numbers])
+
+    def test_join_revalidates_a_differently_typed_column(self):
+        schema_n = Schema((Column("id", "number"), Column("v", "number")), key="id")
+        schema_s = Schema((Column("id", "number"), Column("v", "string")), key="id")
+        numbers = Table("n", schema_n, [{"id": 1, "v": 7}])
+        with pytest.raises(SchemaError):
+            join_on_key([numbers, Table("s", schema_s, [{"id": 2, "v": "x"}])])
+        joined = join_on_key([numbers, Table("s", schema_s, [{"id": 2, "v": None}])])
+        assert joined.scan() == [{"id": 1, "v": 7}, {"id": 2, "v": None}]
+
+    def test_keyed_on_keeps_first_row_per_key(self):
+        table = number_table("t", [{"id": 1, "v": 1}, {"id": None, "v": 2},
+                                   {"id": 1, "v": 3}, {"id": 2, "v": 4}])
+        keyed = keyed_on(table, "id")
+        assert keyed.schema.key == "id"
+        assert keyed.scan() == [{"id": 1, "v": 1}, {"id": 2, "v": 4}]
+        assert keyed.lookup(2) == {"id": 2, "v": 4}
+        with pytest.raises(TableError):
+            keyed.insert({"id": 2, "v": 5})
 
 
 class TestGeneration:

@@ -4,11 +4,7 @@ import pytest
 
 from repro.agents import AgentConfig, BrokerAgent, CostModel, MessageBus, ResourceAgent
 from repro.agents.bus import TraceEntry, format_message_trace
-from repro.agents.mrq import (
-    MultiResourceQueryAgent,
-    _rekey,
-    _table_from_result,
-)
+from repro.agents.mrq import MultiResourceQueryAgent, _load_shapes
 from repro.core.advertisement import Advertisement
 from repro.core.matcher import Match
 from repro.ontology import demo_ontology
@@ -18,6 +14,7 @@ from repro.ontology.service import (
     ServiceDescription,
     SyntacticInfo,
 )
+from repro.relational import keyed_on
 from repro.relational.generate import generate_table
 from repro.sql.executor import QueryResult
 from repro.sql.parser import parse_select
@@ -139,7 +136,8 @@ class TestMrqTableHelpers:
                   {"id": 2, "name": None, "flag": False}),
             rows_scanned=2,
         )
-        table = _table_from_result("t", result)
+        (table,), rejected = _load_shapes([("r", result)])
+        assert not rejected
         assert table.schema.column("id").col_type == "number"
         assert table.schema.column("name").col_type == "string"
         assert table.schema.column("flag").col_type == "bool"
@@ -147,7 +145,7 @@ class TestMrqTableHelpers:
 
     def test_table_from_result_all_null_column(self):
         result = QueryResult(columns=("v",), rows=({"v": None},), rows_scanned=1)
-        table = _table_from_result("t", result)
+        (table,), _ = _load_shapes([("r", result)])
         assert table.schema.column("v").col_type == "string"
 
     def test_rekey_deduplicates(self):
@@ -157,6 +155,7 @@ class TestMrqTableHelpers:
                   {"id": None, "v": 99}),
             rows_scanned=4,
         )
-        table = _rekey(_table_from_result("t", result), "id")
-        assert table.row_count == 2
+        (loaded,), _ = _load_shapes([("r", result)])
+        table = keyed_on(loaded, "id")
+        assert table.scan() == [{"id": 1, "v": 10}, {"id": 2, "v": 20}]
         assert table.schema.key == "id"
