@@ -24,9 +24,10 @@ from __future__ import annotations
 
 import random
 from collections import OrderedDict
-from dataclasses import dataclass, field, replace as _replace
+from dataclasses import dataclass, replace as _replace
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
+from repro.agents.bus import is_maintenance
 from repro.agents.costs import CostModel
 from repro.agents.errors import AgentError
 from repro.agents.faults import DEFAULT_BACKOFF, BackoffPolicy
@@ -35,13 +36,18 @@ from repro.obs.events import NULL_OBSERVER, Observer
 from repro.kqml import KqmlMessage, Performative
 from repro.ontology.service import AgentLocation, ServiceDescription
 
-#: A handler's product: messages to send (with nominal byte sizes),
-#: timers to arm (delay, token), and the virtual cost of the handling.
-@dataclass
+
 class HandlerResult:
-    outbox: List[Tuple[KqmlMessage, float]] = field(default_factory=list)
-    timers: List[Tuple[float, object]] = field(default_factory=list)
-    cost_seconds: float = 0.0
+    """A handler's product: messages to send (with nominal byte sizes,
+    None for a control message), timers to arm (delay, token,
+    maintenance), and the virtual cost of the handling."""
+
+    __slots__ = ("outbox", "timers", "cost_seconds")
+
+    def __init__(self, cost_seconds: float = 0.0):
+        self.outbox: List[Tuple[KqmlMessage, Optional[float]]] = []
+        self.timers: List[Tuple[float, object, bool]] = []
+        self.cost_seconds = cost_seconds
 
     def send(self, message: KqmlMessage, size_bytes: Optional[float] = None) -> None:
         self.outbox.append((message, size_bytes))
@@ -113,7 +119,7 @@ class AgentConfig:
             raise AgentError("crash_mode must be 'lenient' or 'strict'")
 
 
-@dataclass
+@dataclass(slots=True)
 class _Conversation:
     callback: Callable[[Optional[KqmlMessage], "HandlerResult"], None]
     deadline_token: object
@@ -131,6 +137,12 @@ class _Conversation:
 
 
 _PING_TIMER = "ping-cycle"
+
+#: Performative -> name of the method that handles it.
+_HANDLER_NAMES = {
+    performative: "on_" + performative.value.replace("-", "_")
+    for performative in Performative
+}
 
 
 class Agent:
@@ -207,8 +219,16 @@ class Agent:
             self._consult_bulletin_board(result, now)
         wants_brokers = self.config.preferred_brokers or self.config.bulletin_board
         if wants_brokers and self.config.redundancy > 0:
-            result.arm(self.config.ping_interval, _PING_TIMER, maintenance=True)
+            self._arm_cycle(result, self.config.ping_interval, _PING_TIMER)
         return result
+
+    def _arm_cycle(self, result: HandlerResult, interval: float, token: str) -> None:
+        """(Re)start a recurring maintenance timer from ``on_start``.  An
+        outage shorter than the interval leaves the previous cycle's
+        timer pending; it is retired first, or every blip would add one
+        more cycle running beside the new one."""
+        self.bus.cancel_timer(self.name, token)
+        result.arm(interval, token, maintenance=True)
 
     def on_crash(self) -> None:
         """Wipe volatile state — the agent's process died.
@@ -290,23 +310,21 @@ class Agent:
     # message dispatch
     # ------------------------------------------------------------------
     def handle_message(self, message: KqmlMessage, now: float) -> HandlerResult:
-        result = HandlerResult(cost_seconds=self.cost_model.base_handling_seconds)
-        if message.in_reply_to and message.in_reply_to in self._conversations:
-            conversation = self._conversations[message.in_reply_to]
-            if self._retry_transient_sorry(message, conversation, result):
+        result = HandlerResult(self.bus.cost_model.base_handling_seconds)
+        in_reply_to = message.in_reply_to
+        if in_reply_to:
+            conversation = self._conversations.get(in_reply_to)
+            if conversation is not None:
+                if not self._retry_transient_sorry(message, conversation, result):
+                    del self._conversations[in_reply_to]
+                    self.bus.cancel_timer(self.name, conversation.deadline_token)
+                    conversation.callback(message, result)
                 self._record_replies(result)
                 return result
-            self._conversations.pop(message.in_reply_to)
-            self.bus.cancel_timer(self.name, conversation.deadline_token)
-            conversation.callback(message, result)
-            self._record_replies(result)
-            return result
-        if message.reply_with and not message.in_reply_to:
+        elif message.reply_with:
             if not self._first_delivery(message, result):
                 return result
-        handler = getattr(
-            self, "on_" + message.performative.value.replace("-", "_"), None
-        )
+        handler = getattr(self, _HANDLER_NAMES[message.performative], None)
         if handler is None:
             reply = message.reply(Performative.SORRY, content="unsupported performative")
             if message.expects_reply():
@@ -329,7 +347,7 @@ class Agent:
         return bool(
             message.reply_with
             and not message.in_reply_to
-            and (message.sender, message.performative.value, message.reply_with)
+            and (message.sender, message.performative, message.reply_with)
             in self._seen_requests
         )
 
@@ -341,7 +359,7 @@ class Agent:
         handler does not run again, and the cached reply (if the first
         execution already produced one) is resent so the requester's
         retry still completes."""
-        key = (message.sender, message.performative.value, message.reply_with)
+        key = (message.sender, message.performative, message.reply_with)
         if key in self._seen_requests:
             self._seen_requests.move_to_end(key)
             self.observer.inc("agent.dedup.count", agent=self.name)
@@ -357,12 +375,17 @@ class Agent:
     def _record_replies(self, result: HandlerResult) -> None:
         """Remember outgoing replies by the request id they answer, so a
         duplicated request can be answered from cache."""
-        for message, size in result.outbox:
-            if message.in_reply_to:
-                self._reply_cache[message.in_reply_to] = (message, size)
-                self._reply_cache.move_to_end(message.in_reply_to)
-        while len(self._reply_cache) > self.config.dedup_window:
-            self._reply_cache.popitem(last=False)
+        if not result.outbox:
+            return
+        cache = self._reply_cache
+        for sent in result.outbox:
+            request_id = sent[0].in_reply_to
+            if request_id:
+                cache[request_id] = sent
+                cache.move_to_end(request_id)
+        window = self.config.dedup_window
+        while len(cache) > window:
+            cache.popitem(last=False)
 
     # ------------------------------------------------------------------
     # conversations
@@ -401,8 +424,6 @@ class Agent:
         """
         if not message.reply_with:
             raise AgentError("ask() requires a message with :reply-with")
-        from repro.agents.bus import is_maintenance
-
         stamped = False
         if (self.config.deadline_propagation
                 and message.extra("x-deadline") is None
@@ -494,7 +515,7 @@ class Agent:
         re-executes the handler instead of replaying a cached reply.
         Called by handlers that load-shed a request: the shed sorry is a
         refusal to do the work, not the work's result."""
-        key = (message.sender, message.performative.value, message.reply_with)
+        key = (message.sender, message.performative, message.reply_with)
         self._seen_requests.pop(key, None)
         if message.reply_with:
             self._reply_cache.pop(message.reply_with, None)
@@ -503,7 +524,7 @@ class Agent:
     # timers
     # ------------------------------------------------------------------
     def on_timer(self, token: object, now: float) -> HandlerResult:
-        result = HandlerResult(cost_seconds=self.cost_model.base_handling_seconds)
+        result = HandlerResult(self.bus.cost_model.base_handling_seconds)
         if isinstance(token, tuple) and token and token[0] == "timeout":
             self._handle_timeout(token, result)
         elif isinstance(token, tuple) and token and token[0] == "retry":

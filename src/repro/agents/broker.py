@@ -257,7 +257,7 @@ class BrokerAgent(Agent):
         result = super().on_start(now)
         self._recover(result, now)
         if self.agent_ping_interval:
-            result.arm(self.agent_ping_interval, _AGENT_PING_TIMER, maintenance=True)
+            self._arm_cycle(result, self.agent_ping_interval, _AGENT_PING_TIMER)
         if self.pull_broker_directory:
             self._pull_directory(result, now)
         return result
@@ -274,11 +274,9 @@ class BrokerAgent(Agent):
         if self.sync_on_start and self.peer_brokers:
             self._sync_round(result, now)
         if self.sync_interval:
-            result.arm(self.sync_interval, _SYNC_TIMER, maintenance=True)
+            self._arm_cycle(result, self.sync_interval, _SYNC_TIMER)
         if self.journal is not None and self.journal_compact_interval:
-            result.arm(
-                self.journal_compact_interval, _COMPACT_TIMER, maintenance=True
-            )
+            self._arm_cycle(result, self.journal_compact_interval, _COMPACT_TIMER)
 
     def _replay_journal(self, result: HandlerResult, now: float) -> None:
         applied = 0

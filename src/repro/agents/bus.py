@@ -41,6 +41,15 @@ if TYPE_CHECKING:  # pragma: no cover
 #: Shed policies a bounded mailbox supports (see :meth:`MessageBus.set_mailbox`).
 MAILBOX_POLICIES = ("reject", "drop-oldest", "drop-new")
 
+#: Event kinds.  A heap entry is one flat tuple
+#: ``(time, seq, maintenance, kind, a, b, c)`` built only by
+#: :meth:`MessageBus._push`; ``seq`` is unique, so ordering never reaches
+#: the payload.  ``a, b, c`` are ``message, size, delivery id`` for a
+#: delivery (id None outside a bounded mailbox), ``agent name, token,
+#: epoch`` for a timer, ``agent name`` for a start and the callable for
+#: a call.
+_DELIVER, _TIMER, _START, _CALL = range(4)
+
 #: Performatives that constitute liveness machinery on their own.
 _MAINTENANCE_PERFORMATIVES = frozenset((Performative.PING, Performative.PONG))
 
@@ -183,7 +192,8 @@ class MessageBus:
         self._offline: set = set()
         self._queue: List = []
         self._sequence = itertools.count()
-        self._cancelled_timers: set = set()
+        #: (agent, token) -> scheduled instances that must not fire.
+        self._cancelled_timers: Dict = {}
         #: Scheduled-but-not-yet-fired instance counts per (agent, token),
         #: so cancelling an already-fired timer cannot leak a cancellation
         #: entry forever.
@@ -249,6 +259,9 @@ class MessageBus:
         #: themselves — re-bound here so that no instrument outlives the
         #: observer it was bound to.
         self._metrics: bool = self.observer.wants_metrics
+        #: False while the effective observer is the shared no-op: the
+        #: per-event hooks are then not called at all.
+        self._observed: bool = self.observer is not NULL_OBSERVER
         self._instruments = LazyInstruments(self.observer, _BUS_SERIES)
 
     @property
@@ -277,7 +290,7 @@ class MessageBus:
             raise AgentError(f"agent name {agent.name!r} already registered")
         self._agents[agent.name] = agent
         agent.attach(self)
-        self._push(max(self.now, start_at or self.now), ("start", agent.name))
+        self._push(max(self.now, start_at or self.now), False, _START, agent.name)
 
     def agent(self, name: str) -> "Agent":
         try:
@@ -306,7 +319,7 @@ class MessageBus:
                 agent.on_crash()
         else:
             self._offline.discard(name)
-            self._push(self.now, ("start", name))
+            self._push(self.now, False, _START, name)
 
     def is_offline(self, name: str) -> bool:
         return name in self._offline
@@ -433,10 +446,12 @@ class MessageBus:
     # ------------------------------------------------------------------
     def send(self, message: KqmlMessage, at: float, size_bytes: Optional[float] = None) -> None:
         """Schedule *message* to leave its sender at time *at*."""
-        size = size_bytes if size_bytes is not None else self.cost_model.control_message_bytes
-        arrival = at + self.cost_model.transfer_seconds(size)
+        cost_model = self.cost_model
+        size = size_bytes if size_bytes is not None else cost_model.control_message_bytes
+        arrival = at + cost_model.transfer_seconds(size)
         self.stats.bytes_transferred += size
-        self.observer.message_sent(at, message, size, self._cause)
+        if self._observed:
+            self.observer.message_sent(at, message, size, self._cause)
         if self.faults is not None:
             arrivals, reason = self.faults.arrivals(
                 message.sender, message.receiver, at, arrival
@@ -447,10 +462,15 @@ class MessageBus:
                 return
             for when in arrivals:
                 self._enqueue(message, when, size)
-            return
-        self._enqueue(message, arrival, size)
+        elif self._mailbox_capacity is not None:
+            self._enqueue(message, arrival, size)
+        else:
+            self._push(arrival, False, _DELIVER, message, size)
+            self._track_enqueue(message.receiver)
 
     def _enqueue(self, message: KqmlMessage, when: float, size: float) -> None:
+        """Schedule one delivery, through bounded-mailbox admission when
+        a bound is set."""
         if self._mailbox_capacity is not None and self._sheddable(message):
             self.stats.mailbox_offered += 1
             if self._metrics:
@@ -465,7 +485,7 @@ class MessageBus:
             box[delivery_id] = message
             depth = self._mailbox_depth.get(message.receiver, 0) + 1
             self._mailbox_depth[message.receiver] = depth
-            self._push(when, ("deliver", message, size, delivery_id))
+            self._push(when, False, _DELIVER, message, size, delivery_id)
             self._track_enqueue(message.receiver)
             return
         if self._mailbox_capacity is not None:
@@ -475,13 +495,13 @@ class MessageBus:
             if (self._mailbox_depth.get(message.receiver, 0)
                     >= self._mailbox_capacity):
                 self.stats.maintenance_bypass += 1
-        self._push(when, ("deliver", message, size))
+        self._push(when, False, _DELIVER, message, size)
         self._track_enqueue(message.receiver)
 
     def schedule_callback(self, fire_at: float, callback: Callable[[], None]) -> None:
         """Run *callback* at virtual time *fire_at* (failure injection,
         experiment control)."""
-        self._push(fire_at, ("call", callback))
+        self._push(fire_at, False, _CALL, callback)
 
     def schedule_timer(
         self, agent_name: str, fire_at: float, token: object, maintenance: bool = False
@@ -497,21 +517,22 @@ class MessageBus:
         except TypeError:
             pass  # unhashable token: never cancellable, never tracked
         epoch = self._agent_epochs.get(agent_name, 0)
-        self._push(fire_at, ("timer", agent_name, token, epoch), maintenance)
+        self._push(fire_at, maintenance, _TIMER, agent_name, token, epoch)
 
     def cancel_timer(self, agent_name: str, token: object) -> None:
-        """Mark a scheduled timer as dead (lazy deletion): it will be
-        skipped when it fires and never holds :meth:`run` open.  Used to
-        retire reply-timeout timers once the reply has arrived.
+        """Mark every scheduled instance of a timer as dead (lazy
+        deletion): each is skipped when it fires and never holds
+        :meth:`run` open.  Used to retire reply-timeout timers once the
+        reply has arrived, and a recurring cycle before it is re-armed.
 
         Cancelling a timer that already fired (e.g. it was skipped while
         its owner was offline) is a no-op — recording it would leave the
         cancellation entry in ``_cancelled_timers`` forever."""
         try:
             key = (agent_name, token)
-            if self._pending_timers.get(key, 0) <= 0:
-                return
-            self._cancelled_timers.add(key)
+            pending = self._pending_timers.get(key, 0)
+            if pending > 0:
+                self._cancelled_timers[key] = pending
         except TypeError:
             pass  # unhashable token: never cancellable
 
@@ -520,16 +541,25 @@ class MessageBus:
     # ------------------------------------------------------------------
     def run_until(self, deadline: float) -> None:
         """Process events with time <= deadline; advance ``now``."""
-        while self._queue and self._queue[0][0] <= deadline:
-            self._step()
-        self.now = max(self.now, deadline)
+        queue, step = self._queue, self._step
+        while queue and queue[0][0] <= deadline:
+            step()
+        if deadline > self.now:
+            self.now = deadline
 
     def run(self, max_events: int = 1_000_000) -> None:
         """Run until quiescent: no events remain except recurring
         maintenance timers (ping cycles, poll loops)."""
+        queue, step = self._queue, self._step
         steps = 0
-        while self._queue and not self.idle():
-            self._step()
+        while queue:
+            head = queue[0]
+            # A live regular event at the head settles it; only a
+            # maintenance or cancelled head needs the whole heap read.
+            if ((head[2] or head[3] == _TIMER and self._timer_cancelled(head))
+                    and self.idle()):
+                break
+            step()
             steps += 1
             if steps > max_events:
                 raise AgentError(f"bus exceeded {max_events} events; livelock?")
@@ -537,56 +567,56 @@ class MessageBus:
     def idle(self) -> bool:
         """True when only maintenance timers and cancelled timers remain."""
         return all(
-            maintenance or self._timer_cancelled(event)
-            for _t, _s, maintenance, event in self._queue
+            entry[2] or self._timer_cancelled(entry) for entry in self._queue
         )
 
-    def _timer_cancelled(self, event) -> bool:
-        if event[0] != "timer":
+    def _timer_cancelled(self, entry) -> bool:
+        if entry[3] != _TIMER:
             return False
         try:
-            return (event[1], event[2]) in self._cancelled_timers
+            return (entry[4], entry[5]) in self._cancelled_timers
         except TypeError:
             return False  # unhashable token: never cancellable
 
     # ------------------------------------------------------------------
     # internals
     # ------------------------------------------------------------------
-    def _push(self, time: float, event, maintenance: bool = False) -> None:
+    def _push(self, time: float, maintenance: bool, kind: int,
+              a, b=None, c=None) -> None:
+        """The one builder of heap entries (layout: see ``_DELIVER``)."""
         heapq.heappush(
-            self._queue, (time, next(self._sequence), maintenance, event)
+            self._queue, (time, next(self._sequence), maintenance, kind, a, b, c)
         )
 
     def _step(self) -> None:
-        time, _seq, _maintenance, event = heapq.heappop(self._queue)
-        self.now = max(self.now, time)
-        kind = event[0]
-        if kind == "deliver":
-            self._deliver(
-                event[1], time, event[2],
-                event[3] if len(event) > 3 else None,
-            )
-        elif kind == "timer":
-            self._fire_timer(
-                event[1], event[2], time, event[3] if len(event) > 3 else 0
-            )
-        elif kind == "start":
-            self._start_agent(event[1], time)
-        elif kind == "call":
-            event[1]()
-        else:  # pragma: no cover - defensive
-            raise AgentError(f"unknown bus event {kind!r}")
+        time, _seq, _maintenance, kind, a, b, c = heapq.heappop(self._queue)
+        if time > self.now:
+            self.now = time
+        if kind == _DELIVER:
+            self._deliver(a, time, b, c)
+        elif kind == _TIMER:
+            self._fire_timer(a, b, time, c)
+        elif kind == _START:
+            self._start_agent(a, time)
+        else:
+            a()
 
     def _track_enqueue(self, receiver: str) -> None:
         self._inflight_total += 1
         depth = self._inflight.get(receiver, 0) + 1
         self._inflight[receiver] = depth
-        self.stats.queue_depth.set(float(depth))
+        # ``Gauge.set``, inline: this runs once per message.
+        gauge = self.stats.queue_depth
+        gauge.value = value = float(depth)
+        if gauge.max is None or value > gauge.max:
+            gauge.max = value
+        if gauge.min is None or value < gauge.min:
+            gauge.min = value
         # Emit the *current* depth on every transition (dequeue too), so
         # the gauge decays instead of sticking at the high-water mark.
         if self._metrics:
             instruments = self._instruments
-            instruments.queue_depth.set(float(depth))
+            instruments.queue_depth.set(value)
             instruments.inflight.set(float(self._inflight_total))
 
     def _track_dequeue(self, receiver: str) -> None:
@@ -594,32 +624,40 @@ class MessageBus:
         depth = self._inflight.get(receiver, 0) - 1
         if depth <= 0:
             self._inflight.pop(receiver, None)
+            depth = 0
         else:
             self._inflight[receiver] = depth
-        self.stats.queue_depth.set(float(max(depth, 0)))
+        # ``Gauge.set``, inline: this runs once per message.
+        gauge = self.stats.queue_depth
+        gauge.value = value = float(depth)
+        if gauge.max is None or value > gauge.max:
+            gauge.max = value
+        if gauge.min is None or value < gauge.min:
+            gauge.min = value
         if self._metrics:
             instruments = self._instruments
-            instruments.queue_depth.set(float(max(depth, 0)))
+            instruments.queue_depth.set(value)
             instruments.inflight.set(float(self._inflight_total))
 
     def _deliver(self, message: KqmlMessage, time: float, size: float,
-                 delivery_id: Optional[int] = None) -> None:
+                 delivery_id: Optional[int]) -> None:
+        name = message.receiver
         if delivery_id is not None:
             if delivery_id in self._shed_ids:
                 # Evicted by drop-oldest after scheduling; every counter
                 # was settled at eviction time (lazy heap deletion).
                 self._shed_ids.discard(delivery_id)
                 return
-            box = self._mailboxes.get(message.receiver)
+            box = self._mailboxes.get(name)
             if box is not None:
                 box.pop(delivery_id, None)
-        self._track_dequeue(message.receiver)
-        receiver = self._agents.get(message.receiver)
-        if receiver is None or message.receiver in self._offline:
+        self._track_dequeue(name)
+        receiver = self._agents.get(name)
+        if receiver is None or name in self._offline:
             self.stats.dropped_offline += 1
             self.observer.message_dropped(time, message, reason="offline")
             if delivery_id is not None:
-                self._mailbox_depth[message.receiver] -= 1
+                self._mailbox_depth[name] -= 1
             return
         deadline = message.extra("x-deadline") if message.extras else None
         if (deadline is not None and time > float(deadline)
@@ -631,75 +669,81 @@ class MessageBus:
             if self._metrics:
                 self._instruments.shed_expired.inc()
             if delivery_id is not None:
-                self._mailbox_depth[message.receiver] -= 1
+                self._mailbox_depth[name] -= 1
             return
         self.stats.messages_delivered += 1
-        start = max(receiver.busy_until, time)
-        # Flag deliveries the receiver's idempotent-receive cache will
-        # suppress, so tracers/metrics never double-count retry echoes.
-        # Checked before dispatch: handle_message mutates the cache.
-        # Only fresh requests can be duplicates, and only observers that
-        # declare wants_dedup use the flag — skipping the cache probe
-        # otherwise keeps the observed hot path cheap.
-        dedup = False
-        if (self.observer.wants_dedup and not message.in_reply_to
-                and message.reply_with):
-            dedup = receiver.is_duplicate(message)
-        self.observer.message_delivered(time, message, start - time, size, dedup)
+        busy = receiver.busy_until
+        start = busy if busy > time else time
+        if self._observed:
+            # Flag deliveries the receiver's idempotent-receive cache will
+            # suppress, so tracers/metrics never double-count retry echoes.
+            # Checked before dispatch: handle_message mutates the cache.
+            # Only fresh requests can be duplicates, and only observers
+            # that declare wants_dedup use the flag — skipping the cache
+            # probe otherwise keeps the observed hot path cheap.
+            observer = self.observer
+            dedup = False
+            if (observer.wants_dedup and not message.in_reply_to
+                    and message.reply_with):
+                dedup = receiver.is_duplicate(message)
+            observer.message_delivered(time, message, start - time, size, dedup)
         self._cause = message
         if PROFILER.enabled:
             PROFILER.begin("bus.deliver")
         try:
             result = receiver.handle_message(message, start)
-            completion = start + max(result.cost_seconds, 0.0)
+            cost = result.cost_seconds
+            completion = start + cost if cost > 0.0 else start
             receiver.busy_until = completion
             if delivery_id is not None:
                 # The slot frees when service finishes in virtual time.
-                self._mailbox_done.setdefault(
-                    message.receiver, deque()
-                ).append(completion)
-            self._emit(receiver, result, completion)
+                self._mailbox_done.setdefault(name, deque()).append(completion)
+            if result.outbox or result.timers:
+                self._emit(receiver, result, completion)
         finally:
             if PROFILER.enabled:
                 PROFILER.end("bus.deliver")
             self._cause = None
 
-    def _fire_timer(
-        self, agent_name: str, token: object, time: float, epoch: int = 0
-    ) -> None:
-        pending = None
+    def _fire_timer(self, agent_name: str, token: object, time: float,
+                    epoch: int) -> None:
         try:
             key = (agent_name, token)
-            pending = self._pending_timers.get(key, 1) - 1
+            pending_timers = self._pending_timers
+            pending = pending_timers.get(key, 1) - 1
             if pending > 0:
-                self._pending_timers[key] = pending
+                pending_timers[key] = pending
             else:
-                self._pending_timers.pop(key, None)
-            if key in self._cancelled_timers:
-                self._cancelled_timers.discard(key)
+                pending_timers.pop(key, None)
+            cancelled = self._cancelled_timers.get(key)
+            if cancelled:
+                # One cancelled instance consumed; the entry goes with
+                # the last, so no fired timer leaves a cancellation behind.
+                if cancelled > 1:
+                    self._cancelled_timers[key] = cancelled - 1
+                else:
+                    del self._cancelled_timers[key]
                 return
         except TypeError:
-            key = None  # unhashable token: never cancellable
+            pass  # unhashable token: never cancellable
         if epoch != self._agent_epochs.get(agent_name, 0):
             # Armed by a previous incarnation (strict crash happened in
-            # between): discard, purging any unconsumable cancellation.
-            if key is not None and not pending:
-                self._cancelled_timers.discard(key)
+            # between): discard.
             return
         agent = self._agents.get(agent_name)
         if agent is None or agent_name in self._offline:
-            # Skipped fire: purge any cancellation that can no longer be
-            # consumed, or it would sit in _cancelled_timers forever.
-            if key is not None and not pending:
-                self._cancelled_timers.discard(key)
             return
         self.stats.timers_fired += 1
-        self.observer.timer_fired(time, agent_name)
-        start = max(agent.busy_until, time)
+        if self._observed:
+            self.observer.timer_fired(time, agent_name)
+        busy = agent.busy_until
+        start = busy if busy > time else time
         result = agent.on_timer(token, start)
-        completion = start + max(result.cost_seconds, 0.0)
+        cost = result.cost_seconds
+        completion = start + cost if cost > 0.0 else start
         agent.busy_until = completion
-        self._emit(agent, result, completion)
+        if result.outbox or result.timers:
+            self._emit(agent, result, completion)
 
     def _start_agent(self, agent_name: str, time: float) -> None:
         agent = self._agents.get(agent_name)
@@ -712,7 +756,9 @@ class MessageBus:
         self._emit(agent, result, completion)
 
     def _emit(self, agent: "Agent", result, completion: float) -> None:
+        send = self.send
         for message, size in result.outbox:
-            self.send(message, at=completion, size_bytes=size)
+            send(message, completion, size)
+        name = agent.name
         for delay, token, maintenance in result.timers:
-            self.schedule_timer(agent.name, completion + delay, token, maintenance)
+            self.schedule_timer(name, completion + delay, token, maintenance)

@@ -14,7 +14,7 @@ Java objects between co-located agents.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from typing import Any, Mapping, Optional, Tuple
 
 from repro.kqml.errors import KqmlError
@@ -28,7 +28,28 @@ def fresh_reply_id(prefix: str = "id") -> str:
     return f"{prefix}{next(_reply_counter)}"
 
 
-@dataclass(frozen=True)
+_new = object.__new__
+_set = object.__setattr__
+
+
+def _validated(performative, sender, receiver, content, language, ontology,
+               reply_with, in_reply_to, extras) -> "KqmlMessage":
+    """A message from fields the caller vouches for (see the invariant
+    in :class:`KqmlMessage`): no check runs, no ``__init__``."""
+    message = _new(KqmlMessage)
+    _set(message, "performative", performative)
+    _set(message, "sender", sender)
+    _set(message, "receiver", receiver)
+    _set(message, "content", content)
+    _set(message, "language", language)
+    _set(message, "ontology", ontology)
+    _set(message, "reply_with", reply_with)
+    _set(message, "in_reply_to", in_reply_to)
+    _set(message, "extras", extras)
+    return message
+
+
+@dataclass(frozen=True, slots=True)
 class KqmlMessage:
     """One KQML message.
 
@@ -37,6 +58,12 @@ class KqmlMessage:
     >>> r = m.reply(Performative.TELL, content="...rows...")
     >>> (r.sender, r.receiver, r.in_reply_to == m.reply_with)
     ('b', 'a', True)
+
+    Every instance satisfies what ``__post_init__`` checks — a
+    :class:`Performative`, non-empty sender and receiver, ``extras`` a
+    tuple of pairs, ``:reply-with`` set when a reply is expected — and
+    is immutable, so :meth:`reply` and :meth:`forward_to` copy a
+    validated source's fields without re-validating them.
     """
 
     performative: Performative
@@ -56,12 +83,14 @@ class KqmlMessage:
             )
         if not self.sender or not self.receiver:
             raise KqmlError("sender and receiver are required")
-        if isinstance(self.extras, Mapping):
-            object.__setattr__(self, "extras", tuple(sorted(self.extras.items())))
-        elif not isinstance(self.extras, tuple):
-            object.__setattr__(self, "extras", tuple(self.extras))
+        extras = self.extras
+        if type(extras) is not tuple:
+            if isinstance(extras, Mapping):
+                _set(self, "extras", tuple(sorted(extras.items())))
+            elif not isinstance(extras, tuple):
+                _set(self, "extras", tuple(extras))
         if self.reply_with is None and self.performative in EXPECTS_REPLY:
-            object.__setattr__(self, "reply_with", fresh_reply_id())
+            _set(self, "reply_with", fresh_reply_id())
 
     # ------------------------------------------------------------------
     # conversation helpers
@@ -69,20 +98,28 @@ class KqmlMessage:
     def reply(self, performative: Performative, content: Any = None,
               language: Optional[str] = None, **extras) -> "KqmlMessage":
         """Build the response message for this one."""
-        return KqmlMessage(
-            performative=performative,
-            sender=self.receiver,
-            receiver=self.sender,
-            content=content,
-            language=language if language is not None else self.language,
-            ontology=self.ontology,
-            in_reply_to=self.reply_with,
-            extras=tuple(sorted(extras.items())),
+        if not isinstance(performative, Performative):
+            raise KqmlError(
+                f"performative must be a Performative, got {performative!r}"
+            )
+        return _validated(
+            performative, self.receiver, self.sender, content,
+            language if language is not None else self.language,
+            self.ontology,
+            fresh_reply_id() if performative in EXPECTS_REPLY else None,
+            self.reply_with,
+            tuple(sorted(extras.items())) if extras else (),
         )
 
     def forward_to(self, receiver: str, sender: Optional[str] = None) -> "KqmlMessage":
         """The same message readdressed to *receiver* (broker forwarding)."""
-        return replace(self, receiver=receiver, sender=sender or self.receiver)
+        if not receiver:
+            raise KqmlError("sender and receiver are required")
+        return _validated(
+            self.performative, sender or self.receiver, receiver, self.content,
+            self.language, self.ontology, self.reply_with, self.in_reply_to,
+            self.extras,
+        )
 
     def extra(self, key: str, default: Any = None) -> Any:
         """Look up an extra parameter by name."""

@@ -40,6 +40,12 @@ class Performative(enum.Enum):
     PING = "ping"
     PONG = "pong"
 
+    # Members are singletons compared by identity, so the identity hash
+    # is consistent with ``==`` — and it is computed in C, where
+    # ``Enum.__hash__`` is a Python-level call on every set/dict probe
+    # (``in EXPECTS_REPLY``, the agents' handler table).
+    __hash__ = object.__hash__
+
     @classmethod
     def from_name(cls, name: str) -> "Performative":
         """Look up a performative by its wire name (e.g. ``"ask-all"``)."""

@@ -187,7 +187,7 @@ class SimQueryAgent(Agent):
 
     def on_start(self, now: float) -> HandlerResult:
         result = super().on_start(now)
-        result.arm(self._next_arrival_delay(now), _GENERATE, maintenance=True)
+        self._arm_cycle(result, self._next_arrival_delay(now), _GENERATE)
         return result
 
     def on_custom_timer(self, token: object, result: HandlerResult, now: float) -> None:

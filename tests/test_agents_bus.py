@@ -215,3 +215,66 @@ class TestBrokerPingsAgents:
         bus.set_offline("e1")
         bus.run_until(400.0)
         assert not broker.repository.knows("e1")
+
+
+class TestShortOutageKeepsOneCycle:
+    """An outage shorter than a recurring timer's interval leaves the old
+    instance pending; ``on_start`` must retire it before arming the next,
+    or every blip adds one more cycle running beside the others."""
+
+    @staticmethod
+    def pings_after_blips(crash_mode, blips):
+        bus = make_bus()
+        bus.register(BrokerAgent("b0"))
+        agent = Agent("a", AgentConfig(preferred_brokers=("b0",),
+                                       ping_interval=300.0,
+                                       crash_mode=crash_mode))
+        bus.register(agent)
+        bus.trace = []
+        for down, up in blips:
+            bus.schedule_callback(down, lambda: bus.set_offline("a"))
+            bus.schedule_callback(up, lambda: bus.set_offline("a", False))
+        bus.run_until(3300.0)
+        assert ("a", "ping-cycle") not in bus._cancelled_timers
+        return [round(e.time) for e in bus.trace
+                if e.sender == "a" and e.performative == "ping"]
+
+    @pytest.mark.parametrize("crash_mode", ["lenient", "strict"])
+    @pytest.mark.parametrize("blips", [
+        [(100.0, 150.0)],
+        # Three blips inside one interval: three stale instances pending.
+        [(100.0, 110.0), (120.0, 130.0), (140.0, 150.0)],
+    ])
+    def test_one_ping_cycle_survives(self, crash_mode, blips):
+        pings = self.pings_after_blips(crash_mode, blips)
+        # One cycle, re-phased to the last recovery: 450, 750, ..., 3150.
+        assert pings == list(range(450, 3300, 300))
+
+    @pytest.mark.parametrize("crash_mode", ["lenient", "strict"])
+    def test_blips_in_separate_intervals(self, crash_mode):
+        pings = self.pings_after_blips(
+            crash_mode, [(100.0, 150.0), (1000.0, 1040.0), (2000.0, 2040.0)])
+        assert pings == [450, 750, 1340, 1640, 1940, 2340, 2640, 2940, 3240]
+
+    @pytest.mark.parametrize("crash_mode", ["lenient", "strict"])
+    def test_broker_cycles_are_not_doubled(self, crash_mode):
+        bus = make_bus()
+        broker = BrokerAgent("b0", agent_ping_interval=300.0, sync_interval=300.0,
+                             peer_brokers=["b1"],
+                             config=AgentConfig(crash_mode=crash_mode))
+        bus.register(broker)
+        bus.register(BrokerAgent("b1"))
+        bus.register(Agent("a", AgentConfig(preferred_brokers=("b0",))))
+        bus.trace = []
+        bus.schedule_callback(100.0, lambda: bus.set_offline("b0"))
+        bus.schedule_callback(150.0, lambda: bus.set_offline("b0", False))
+        bus.run_until(1400.0)
+        # Only reply timeouts (tuple tokens) may still await their fire.
+        assert all(isinstance(token, tuple) for _a, token in bus._cancelled_timers)
+        from_b0 = [(round(e.time), e.receiver, e.performative)
+                   for e in bus.trace if e.sender == "b0" and e.time > 200.0]
+        agent_pings = [t for t, to, verb in from_b0 if (to, verb) == ("a", "ping")]
+        syncs = [t for t, to, verb in from_b0 if (to, verb) == ("b1", "ask-all")]
+        assert syncs == [450, 750, 1050, 1350]
+        # A strict crash emptied the repository: no one to ping at 450.
+        assert agent_pings == (syncs if crash_mode == "lenient" else syncs[1:])

@@ -1,5 +1,7 @@
 """Tests for the KQML message model and wire syntax."""
 
+import dataclasses
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -14,6 +16,7 @@ from repro.kqml import (
     parse_sexpr,
     render_sexpr,
 )
+from repro.kqml.performatives import EXPECTS_REPLY
 
 
 def ask(content="select * from C2", **kw):
@@ -170,3 +173,101 @@ def test_property_wire_roundtrip(performative, sender, receiver, content):
         sender=sender, receiver=receiver, content=content,
     )
     assert loads(dumps(msg)) == msg
+
+
+# ----------------------------------------------------------------------
+# reply() / forward_to() copy a validated source field by field instead
+# of going through the constructor: they must be indistinguishable from
+# the message the constructor builds.
+# ----------------------------------------------------------------------
+names = st.text(alphabet="abcdefgh-0123456789", min_size=1, max_size=8)
+maybe_name = st.one_of(st.none(), names)
+scalar = st.one_of(names, st.integers(-5, 5), st.booleans())
+extras_dict = st.dictionaries(names, scalar, max_size=3)
+performatives = st.sampled_from(list(Performative))
+
+
+@st.composite
+def extras_forms(draw):
+    """The same extras as the three shapes the constructor accepts."""
+    pairs = draw(extras_dict)
+    shape = draw(st.sampled_from(["tuple", "dict", "pairs"]))
+    if shape == "dict":
+        return pairs
+    ordered = sorted(pairs.items())
+    return tuple(ordered) if shape == "tuple" else ordered
+
+
+@st.composite
+def messages(draw):
+    return KqmlMessage(
+        draw(performatives), sender=draw(names), receiver=draw(names),
+        content=draw(scalar), language=draw(maybe_name),
+        ontology=draw(maybe_name), reply_with=draw(maybe_name),
+        in_reply_to=draw(maybe_name), extras=draw(extras_forms()),
+    )
+
+
+def assert_same_message(fast, built):
+    assert fast == built and built == fast
+    assert hash(fast) == hash(built)
+    assert repr(fast) == repr(built)
+    assert type(fast.extras) is tuple
+    assert not hasattr(fast, "__dict__")
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        fast.sender = "someone-else"
+
+
+@given(source=messages(), performative=performatives, content=scalar,
+       language=maybe_name, extras=extras_dict)
+def test_property_reply_equals_constructor(source, performative, content,
+                                           language, extras):
+    fast = source.reply(performative, content=content, language=language,
+                        **extras)
+    assert (fast.reply_with is not None) == (performative in EXPECTS_REPLY)
+    fields = dict(
+        performative=performative, sender=source.receiver,
+        receiver=source.sender, content=content,
+        language=language if language is not None else source.language,
+        ontology=source.ontology, in_reply_to=source.reply_with, extras=extras,
+    )
+    # The constructor mints exactly when reply() did (ids are unique per
+    # mint, so equality is checked with the id carried over).
+    minted = KqmlMessage(**fields).reply_with
+    assert (minted is not None) == (fast.reply_with is not None)
+    assert minted != fast.reply_with or minted is None
+    assert_same_message(fast, KqmlMessage(reply_with=fast.reply_with, **fields))
+
+
+@given(source=messages(), receiver=names, sender=maybe_name)
+def test_property_forward_equals_constructor(source, receiver, sender):
+    fast = source.forward_to(receiver, sender)
+    fields = {f.name: getattr(source, f.name)
+              for f in dataclasses.fields(KqmlMessage)}
+    fields.update(receiver=receiver, sender=sender or source.receiver)
+    assert_same_message(fast, KqmlMessage(**fields))
+    assert fast.reply_with == source.reply_with
+
+
+class TestFastPathsKeepTheChecks:
+    def test_forward_to_empty_receiver(self):
+        with pytest.raises(KqmlError):
+            ask().forward_to("")
+
+    def test_reply_with_non_performative(self):
+        with pytest.raises(KqmlError):
+            ask().reply("tell")
+
+    def test_empty_sender_still_rejected(self):
+        with pytest.raises(KqmlError):
+            KqmlMessage(Performative.TELL, sender="", receiver="b",
+                        extras=(("k", 1),))
+
+    def test_replace_and_wire_roundtrip_of_fast_built(self):
+        answer = ask().reply(Performative.TELL, content="rows", hops=3)
+        forwarded = answer.forward_to("broker2")
+        moved = dataclasses.replace(forwarded, content="other")
+        assert moved.content == "other" and moved.extras == (("hops", 3),)
+        assert not hasattr(moved, "__dict__")
+        for message in (answer, forwarded, moved):
+            assert loads(dumps(message)) == message
