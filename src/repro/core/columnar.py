@@ -21,7 +21,16 @@ query.  The plane answers the same query in three vectorized passes:
    the surviving ids through two float comparisons per ad.  Survivor
    ids come from :func:`_bit_indices` — a chunked walk that costs
    O(ads/64 + survivors), not the O(survivors x ads) of repeated
-   lowest-bit extraction on one huge int.
+   lowest-bit extraction on one huge int.  Under the sweep sits a
+   *grid*: at most 64 cells whose edges are quantiles of the finite
+   endpoints, each a bitset of the ads whose interval reaches into it,
+   kept in step by ``add`` / ``remove``.  The cells the query interval
+   spans are OR-ed and AND-ed into the survivors before any bit is
+   unpacked, so the two comparisons run over the handful of ads near
+   the query instead of every posting survivor.  The grid only ever
+   filters conservatively — any edges are correct — so it is built
+   lazily (first sweep over >= 256 simple ads) and rebuilt only when
+   the population has doubled since.
 3. **Residual checkers.**  Every advertised domain is also grouped by
    its canonical :func:`~repro.constraints.domains.domain_key` and
    compiled once (:func:`~repro.constraints.compile
@@ -58,6 +67,7 @@ explain-mode queries through the scan instead (see
 from __future__ import annotations
 
 from array import array
+from bisect import bisect_left
 from typing import Callable, Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.constraints.compile import (
@@ -72,6 +82,11 @@ from repro.core.scoring import score_match
 
 _INF = float("inf")
 
+#: Most cells a column's grid has, and the fewest simple-interval ads
+#: a column must hold before a sweep builds it one.
+_GRID_CELLS = 64
+_GRID_MIN_ADS = 256
+
 
 def _bit_indices(mask: int) -> List[int]:
     """Ascending indices of the set bits of *mask*.
@@ -84,6 +99,8 @@ def _bit_indices(mask: int) -> List[int]:
     """
     if not mask:
         return []
+    if not mask & (mask - 1):  # one bit: what a match-cache probe sweeps
+        return [mask.bit_length() - 1]
     out = []
     n_bytes = (mask.bit_length() + 7) // 8
     data = memoryview(mask.to_bytes(n_bytes + (-n_bytes) % 8, "little"))
@@ -132,6 +149,7 @@ class _SlotColumn:
     __slots__ = (
         "restricted_mask", "simple_mask", "lo", "hi",
         "open_flags", "groups", "simple_groups",
+        "simple_count", "grid_edges", "grid_cells", "grid_built_at",
     )
 
     #: ``open_flags`` bits: the ad's interval is open at that end.
@@ -143,11 +161,21 @@ class _SlotColumn:
         self.restricted_mask = 0
         #: Ads whose domain is one numeric interval (array-resident).
         self.simple_mask = 0
+        self.simple_count = 0  # its popcount, kept by add / remove
         self.lo = array("d")
         self.hi = array("d")
         #: Per-ad open-endpoint flags — a byte per ad, not a bitmask,
         #: so the sweep reads them in O(1) per survivor.
         self.open_flags = bytearray()
+        #: The grid under the sweep: ascending cell edges (None while
+        #: there is no grid) and one bitset per cell — cell *j* holds
+        #: the simple ads whose ``[lo, hi]`` reaches into
+        #: ``(edges[j-1], edges[j]]`` — plus the simple population it
+        #: was built at.  Only ever a conservative filter, see
+        #: :meth:`_cell_span`.
+        self.grid_edges: Optional[List[float]] = None
+        self.grid_cells: List[int] = []
+        self.grid_built_at = 0
         #: domain_key -> group, for non-simple domains.
         self.groups: Dict[object, _DomainGroup] = {}
         #: domain_key -> group, for simple domains — probed when the
@@ -166,12 +194,22 @@ class _SlotColumn:
                 self.open_flags.extend(bytes(short))
             lo, hi, lo_open, hi_open = simple
             self.simple_mask |= bit
+            self.simple_count += 1
             self.lo[ad_id] = lo
             self.hi[ad_id] = hi
             self.open_flags[ad_id] = (
                 (self._LO_OPEN if lo_open else 0)
                 | (self._HI_OPEN if hi_open else 0)
             )
+            if self.grid_edges is not None:
+                if self.simple_count > 2 * self.grid_built_at:
+                    # The quantiles describe a population half this
+                    # size: the next sweep builds them afresh.
+                    self.grid_edges = None
+                else:
+                    cells = self.grid_cells
+                    for j in self._cell_span(lo, hi):
+                        cells[j] |= bit
             groups = self.simple_groups
         else:
             groups = self.groups
@@ -188,6 +226,11 @@ class _SlotColumn:
         self.restricted_mask &= keep
         if self.simple_mask & bit:
             self.simple_mask &= keep
+            self.simple_count -= 1
+            if self.grid_edges is not None:
+                cells = self.grid_cells
+                for j in self._cell_span(self.lo[ad_id], self.hi[ad_id]):
+                    cells[j] &= keep
             groups = self.simple_groups
         else:
             groups = self.groups
@@ -198,6 +241,39 @@ class _SlotColumn:
             del groups[key]
         elif group.mask is not None:
             group.mask &= keep
+
+    def _cell_span(self, lo: float, hi: float) -> range:
+        """The grid cells the closed interval ``[lo, hi]`` reaches into.
+
+        Cell numbering is monotone in the value, so two intervals that
+        share a point both span that point's cell: OR-ing the cells a
+        query spans can never lose an overlapping ad, whatever the
+        edges are and however stale — they only decide how many
+        non-overlapping ads come along (``±inf`` ends land in the edge
+        cells, open ends are treated as closed)."""
+        edges = self.grid_edges
+        return range(bisect_left(edges, lo), bisect_left(edges, hi) + 1)
+
+    def _build_grid(self) -> None:
+        """An equi-depth grid over the live simple ads: the edges are
+        quantiles of their finite endpoints, so each cell is reached by
+        about the same number of ads wherever the values cluster."""
+        lo, hi = self.lo, self.hi
+        ids = _bit_indices(self.simple_mask)
+        finite = sorted(
+            value for i in ids for value in (lo[i], hi[i])
+            if -_INF < value < _INF
+        )
+        self.grid_edges = sorted({
+            finite[k * len(finite) // _GRID_CELLS]
+            for k in range(1, _GRID_CELLS)
+        }) if finite else []
+        members: List[List[int]] = [[] for _ in range(len(self.grid_edges) + 1)]
+        for i in ids:
+            for j in self._cell_span(lo[i], hi[i]):
+                members[j].append(i)
+        self.grid_cells = [_mask_from_indices(cell, ids[-1]) for cell in members]
+        self.grid_built_at = len(ids)
 
     def overlap_mask(self, query_domain: Domain, live: int) -> int:
         """Bits of *live* (all restricted here) whose advertised domain
@@ -210,10 +286,20 @@ class _SlotColumn:
             if query_simple is None:
                 probed.append(self.simple_groups)
             else:
+                qlo, qhi, qlo_open, qhi_open = query_simple
+                if self.grid_edges is None and self.simple_count >= _GRID_MIN_ADS:
+                    self._build_grid()
+                if self.grid_edges is not None:
+                    # Only the ads reaching into a cell the query spans
+                    # can overlap it; the rest never get unpacked.
+                    reach = 0
+                    cells = self.grid_cells
+                    for j in self._cell_span(qlo, qhi):
+                        reach |= cells[j]
+                    simple_live &= reach
                 # Inlined intervals_overlap() with the ad interval on
                 # the left: a call + tuple per survivor costs more than
                 # the two comparisons it wraps.
-                qlo, qhi, qlo_open, qhi_open = query_simple
                 lo, hi, flags = self.lo, self.hi, self.open_flags
                 hits = []
                 for i in _bit_indices(simple_live):
@@ -471,6 +557,23 @@ class ColumnarPlane:
         return self._finish(query, context, stats,
                             self.posting_mask(query, context))
 
+    def matches_any(
+        self, query: BrokerQuery, context: MatchContext, names: Iterable[str]
+    ) -> bool:
+        """Whether any agent of *names* that is in the plane passes
+        *query*: the passes of :meth:`match` over those ids alone, in
+        one probe, with nothing fetched or scored.  (The repository's
+        match cache asks this of the agents advertised since a cached
+        list was computed.)"""
+        ids = self._ids
+        present = [ids[name] for name in names if name in ids]
+        if not present:
+            return False
+        mask = self.posting_mask(query, context) & _mask_from_indices(
+            present, len(self._names)
+        )
+        return bool(self._within_cap(query, self.constraint_mask(query, mask)))
+
     def match_batch(
         self,
         queries: List[BrokerQuery],
@@ -491,6 +594,15 @@ class ColumnarPlane:
             results.append(self._finish(query, context, stats, mask))
         return results
 
+    def _within_cap(self, query: BrokerQuery, mask: int) -> List[int]:
+        """Ascending ids of *mask* whose advertised response time is
+        within the query's cap."""
+        survivors = _bit_indices(mask)
+        if query.max_response_time is not None:
+            cap, response_time = query.max_response_time, self._response_time
+            survivors = [i for i in survivors if response_time[i] <= cap]
+        return survivors
+
     def _finish(
         self, query: BrokerQuery, context: MatchContext,
         stats: Optional[MatchStats], mask: int,
@@ -504,10 +616,7 @@ class ColumnarPlane:
         mask = self.constraint_mask(query, mask)
         if stats is not None:
             stats.constraint_hits += mask.bit_count()
-        survivors = _bit_indices(mask)
-        if query.max_response_time is not None:
-            cap, response_time = query.max_response_time, self._response_time
-            survivors = [i for i in survivors if response_time[i] <= cap]
+        survivors = self._within_cap(query, mask)
         # Fetch survivors and rank them with the shared scoring
         # function — identical arithmetic to the scan, so equal scores.
         names = self._names

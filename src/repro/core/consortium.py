@@ -14,10 +14,9 @@ optimization sketched in Section 3.2.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, List, Set, Tuple
-
-import networkx as nx
+from collections import deque
+from dataclasses import dataclass
+from typing import Dict, FrozenSet, Iterator, List, Set, Tuple
 
 from repro.core.errors import BrokeringError
 
@@ -52,14 +51,22 @@ class BrokerNetwork:
     explicit advertisements."""
 
     def __init__(self):
-        self._graph = nx.DiGraph()
+        #: broker -> the brokers it knows (whose advertisements it
+        #: holds), and the reverse map; every broker is a key of both.
+        self._knows: Dict[str, Set[str]] = {}
+        self._known_to: Dict[str, Set[str]] = {}
         self._consortia: Dict[str, Consortium] = {}
 
     # ------------------------------------------------------------------
     # construction
     # ------------------------------------------------------------------
     def add_broker(self, name: str) -> None:
-        self._graph.add_node(name)
+        self._knows.setdefault(name, set())
+        self._known_to.setdefault(name, set())
+
+    def _add_edge(self, source: str, target: str) -> None:
+        self._knows[source].add(target)
+        self._known_to[target].add(source)
 
     def add_consortium(self, consortium: Consortium) -> None:
         if consortium.name in self._consortia:
@@ -69,17 +76,19 @@ class BrokerNetwork:
             self.add_broker(member)
         for source, target in consortium.edges():
             # target advertised to source: source knows target.
-            self._graph.add_edge(source, target)
+            self._add_edge(source, target)
 
     def record_advertisement(self, advertiser: str, to_broker: str) -> None:
         """*advertiser* advertised itself to *to_broker* (who now knows it)."""
         self.add_broker(advertiser)
         self.add_broker(to_broker)
-        self._graph.add_edge(to_broker, advertiser)
+        self._add_edge(to_broker, advertiser)
 
     def record_departure(self, broker: str) -> None:
-        if broker in self._graph:
-            self._graph.remove_node(broker)
+        for known in self._knows.pop(broker, ()):
+            self._known_to[known].discard(broker)
+        for knower in self._known_to.pop(broker, ()):
+            self._knows[knower].discard(broker)
         for name, consortium in list(self._consortia.items()):
             if broker in consortium:
                 remaining = consortium.members - {broker}
@@ -92,7 +101,7 @@ class BrokerNetwork:
     # inspection
     # ------------------------------------------------------------------
     def brokers(self) -> List[str]:
-        return sorted(self._graph.nodes)
+        return sorted(self._knows)
 
     def consortia_of(self, broker: str) -> List[str]:
         return sorted(
@@ -101,21 +110,37 @@ class BrokerNetwork:
 
     def known_by(self, broker: str) -> List[str]:
         """Brokers whose advertisements *broker* holds (forward targets)."""
-        if broker not in self._graph:
-            return []
-        return sorted(self._graph.successors(broker))
+        return sorted(self._knows.get(broker, ()))
+
+    def _bfs(self, root: str, undirected: bool = False) -> Iterator[Tuple[str, str]]:
+        """Breadth-first ``(parent, child)`` discoveries from *root*,
+        neighbours in sorted order — so the traversal, and the tree it
+        spans, never depend on set iteration order."""
+        seen = {root}
+        frontier = deque([root])
+        while frontier:
+            parent = frontier.popleft()
+            neighbours = self._knows[parent]
+            if undirected:
+                neighbours = neighbours | self._known_to[parent]
+            for child in sorted(neighbours):
+                if child not in seen:
+                    seen.add(child)
+                    frontier.append(child)
+                    yield parent, child
 
     def is_connected(self) -> bool:
         """The paper's requirement: every broker reaches every other,
         directly or indirectly (weak connectivity of the digraph)."""
-        if self._graph.number_of_nodes() <= 1:
+        if len(self._knows) <= 1:
             return True
-        return nx.is_weakly_connected(self._graph)
+        root = next(iter(self._knows))
+        return 1 + sum(1 for _ in self._bfs(root, undirected=True)) == len(self._knows)
 
     def reachable_from(self, broker: str) -> Set[str]:
-        if broker not in self._graph:
+        if broker not in self._knows:
             return set()
-        return set(nx.descendants(self._graph, broker)) | {broker}
+        return {broker} | {child for _parent, child in self._bfs(broker)}
 
     def spanning_tree_from(self, broker: str) -> Dict[str, List[str]]:
         """A BFS spanning tree rooted at *broker*: parent -> children.
@@ -123,11 +148,9 @@ class BrokerNetwork:
         Propagating a request along this tree instead of flooding every
         edge is the Section 3.2 connectivity-cost reduction.
         """
-        if broker not in self._graph:
+        if broker not in self._knows:
             raise BrokeringError(f"unknown broker {broker!r}")
-        tree = nx.bfs_tree(self._graph, broker)
-        return {
-            node: sorted(tree.successors(node))
-            for node in tree.nodes
-            if any(True for _ in tree.successors(node))
-        }
+        tree: Dict[str, List[str]] = {}
+        for parent, child in self._bfs(broker):
+            tree.setdefault(parent, []).append(child)
+        return tree

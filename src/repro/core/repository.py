@@ -14,11 +14,16 @@ Matchmaking
 result-invisible — only the work changes):
 
 1. **Match cache.**  Results are cached per canonical query fingerprint
-   (:meth:`BrokerQuery.fingerprint`) and stamped with the repository's
-   monotonically increasing *generation*; any advertise / unadvertise —
-   or a mutation of the shared ontologies / capability hierarchy —
-   bumps the generation, so dynamic communities never see a stale
-   recommendation.
+   (:meth:`BrokerQuery.fingerprint`) and validated against a bounded
+   *write log*: one ``(removed name, added name)`` record per plane
+   mutation.  An entry remembers the write it is valid at; a lookup
+   replays only the records it has missed, and the entry survives them
+   unless one removed an agent it lists or added one that passes the
+   query (one plane probe for all the added agents together) — a write
+   costs a miss to the cached queries it concerns and to no others, so
+   dynamic communities never see a stale recommendation and steady
+   re-advertising does not empty the cache.  A mutation of the shared
+   ontologies / capability hierarchy concerns every entry and empties it.
 2. **The columnar plane.**  A
    :class:`~repro.core.columnar.ColumnarPlane` — bitset posting lists,
    interval arrays, compiled constraint checkers — is maintained *in
@@ -44,10 +49,11 @@ opened over a populated store loads its engine from it.
 
 from __future__ import annotations
 
-from collections import OrderedDict
+from collections import OrderedDict, deque
 from contextlib import contextmanager, nullcontext
-from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Tuple
+from dataclasses import dataclass
+from itertools import islice
+from typing import Deque, Dict, FrozenSet, Iterator, List, Optional, Tuple
 
 from repro.core.advertisement import Advertisement
 from repro.core.columnar import ColumnarPlane
@@ -94,6 +100,8 @@ class MemoryAdStore:
     def __init__(self):
         self._agents: Dict[str, Advertisement] = {}
         self._brokers: Dict[str, Advertisement] = {}
+        #: Memoised :meth:`size_mb`; None once a put / pop has moved it.
+        self._size_mb: Optional[float] = None
 
     def clone_empty(self) -> "MemoryAdStore":
         return MemoryAdStore()
@@ -103,9 +111,11 @@ class MemoryAdStore:
         return self._agents.get(name)
 
     def pop_agent(self, name: str) -> Optional[Advertisement]:
+        self._size_mb = None
         return self._agents.pop(name, None)
 
     def put_agent(self, ad: Advertisement) -> None:
+        self._size_mb = None
         self._agents[ad.agent_name] = ad
 
     def agent_names(self) -> List[str]:
@@ -124,9 +134,11 @@ class MemoryAdStore:
         return self._brokers.get(name)
 
     def pop_broker(self, name: str) -> Optional[Advertisement]:
+        self._size_mb = None
         return self._brokers.pop(name, None)
 
     def put_broker(self, ad: Advertisement) -> None:
+        self._size_mb = None
         self._brokers[ad.agent_name] = ad
 
     def broker_names(self) -> List[str]:
@@ -141,9 +153,13 @@ class MemoryAdStore:
 
     # -- bookkeeping ----------------------------------------------------
     def size_mb(self) -> float:
-        return sum(ad.size_mb for ad in self._agents.values()) + sum(
-            ad.size_mb for ad in self._brokers.values()
-        )
+        # Always the whole sum, never a running add / subtract: the
+        # float must not depend on the order the ads came and went in.
+        if self._size_mb is None:
+            self._size_mb = sum(ad.size_mb for ad in self._agents.values()) + sum(
+                ad.size_mb for ad in self._brokers.values()
+            )
+        return self._size_mb
 
     def bulk(self):
         """Batch many mutations; a no-op for resident storage."""
@@ -153,10 +169,11 @@ class MemoryAdStore:
 class BrokerRepository:
     """Advertisement storage and local matchmaking for one broker.
 
-    ``match_cache_size`` bounds the fingerprint-keyed match cache (0
-    disables it).  ``store`` plugs in the advertisement storage backend
-    (default resident :class:`MemoryAdStore`); advertisements it already
-    holds are loaded into the plane.
+    ``match_cache_size`` bounds the fingerprint-keyed match cache and
+    the write log it is validated against (0 disables both).  ``store``
+    plugs in the advertisement storage backend (default resident
+    :class:`MemoryAdStore`); advertisements it already holds are loaded
+    into the plane.
     """
 
     def __init__(
@@ -171,14 +188,21 @@ class BrokerRepository:
         self.context = context or MatchContext()
         self.match_cache_size = match_cache_size
         #: Bumped on every repository mutation *and* whenever the shared
-        #: semantic knowledge (ontologies, capability hierarchy) moves;
-        #: cached match lists carry the generation they were computed at
-        #: and are ignored (and eventually evicted) once it changes.
+        #: semantic knowledge (ontologies, capability hierarchy) moves.
         self._generation = 0
         self._knowledge_stamp = self._context_stamp()
-        self._match_cache: "OrderedDict[tuple, Tuple[int, Tuple[Match, ...]]]" = (
-            OrderedDict()
+        #: Plane mutations so far — the sequence cached lists are valid at.
+        self._writes = 0
+        #: The last ``match_cache_size`` plane mutations, oldest first:
+        #: ``(removed agent name | None, added agent name | None)``.
+        self._write_log: Deque[Tuple[Optional[str], Optional[str]]] = deque(
+            maxlen=match_cache_size
         )
+        #: fingerprint -> (write sequence the list is valid at, ranked
+        #: matches, their agent names), least recently used first.
+        self._match_cache: (
+            "OrderedDict[tuple, Tuple[int, Tuple[Match, ...], FrozenSet[str]]]"
+        ) = OrderedDict()
         #: The engine's own view of the stored agent advertisements —
         #: loaded from the store here, kept in step by :meth:`_reindex`.
         self._plane = ColumnarPlane.compile(
@@ -217,20 +241,27 @@ class BrokerRepository:
             stamp.append((name, id(ontology), getattr(ontology, "version", 0)))
         return tuple(stamp)
 
-    @property
-    def generation(self) -> int:
-        """The monotonic staleness stamp for cached match lists.
-
-        Reading it revalidates the semantic-knowledge snapshot, so an
-        ontology mutation (a class added after an ontology reload, a
-        hierarchy extension) invalidates cached match lists exactly like
-        an advertise would.  The plane needs no such stamp: it stores
-        exact names and expands closures per query.
-        """
+    def _refresh_knowledge(self) -> None:
+        """Re-take the semantic-knowledge snapshot; when it has moved (a
+        class added after an ontology reload, a hierarchy extension)
+        every cached match list was computed under closures that no
+        longer hold, so the cache is emptied in the same step that
+        adopts the new snapshot.  The plane needs no such step: it
+        stores exact names and expands closures per query."""
         stamp = self._context_stamp()
         if stamp != self._knowledge_stamp:
             self._knowledge_stamp = stamp
             self._generation += 1
+            self._match_cache.clear()
+
+    @property
+    def generation(self) -> int:
+        """The monotonic mutation stamp: moves on every advertise /
+        unadvertise (broker advertisements included) and whenever the
+        shared semantic knowledge does.  It tells callers *that*
+        something changed; the match cache decides per entry whether the
+        change concerns it (:meth:`_still_valid`)."""
+        self._refresh_knowledge()
         return self._generation
 
     def _bump_generation(self) -> None:
@@ -275,7 +306,16 @@ class BrokerRepository:
     ) -> None:
         """Swap one agent's advertisement in the plane: *old* (if any)
         leaves, *new* (if any) enters — in place, touching only what
-        that one advertisement occupies."""
+        that one advertisement occupies — and log the swap for the match
+        cache.  A broker advertisement that displaces no agent touches
+        neither."""
+        if old is None and new is None:
+            return
+        self._writes += 1
+        self._write_log.append((
+            None if old is None else old.agent_name,
+            None if new is None else new.agent_name,
+        ))
         if PROFILER.enabled:
             PROFILER.begin("match.columnar.build")
         try:
@@ -352,7 +392,7 @@ class BrokerRepository:
 
         key = query.fingerprint() if self.match_cache_size else None
         if key is not None:
-            cached = self._cache_lookup(key, observer)
+            cached = self._cache_lookup(key, query, observer)
             if cached is not None:
                 return cached
         matches = self._match([query], observer)[0]
@@ -377,7 +417,7 @@ class BrokerRepository:
             self.stats.queries_answered += 1
             key = query.fingerprint() if self.match_cache_size else None
             if key is not None:
-                cached = self._cache_lookup(key, observer)
+                cached = self._cache_lookup(key, query, observer)
                 if cached is not None:
                     results[position] = cached
                     continue
@@ -390,12 +430,15 @@ class BrokerRepository:
                     self._cache_store(key, matches)
         return results
 
-    def _cache_lookup(self, key, observer) -> Optional[List[Match]]:
+    def _cache_lookup(self, key, query, observer) -> Optional[List[Match]]:
         if PROFILER.enabled:
             PROFILER.begin("cache.lookup")
         try:
+            self._refresh_knowledge()
             entry = self._match_cache.get(key)
-            if entry is not None and entry[0] == self.generation:
+            if entry is not None and (
+                entry[0] == self._writes or self._still_valid(key, query, entry)
+            ):
                 self._match_cache.move_to_end(key)
                 self.stats.cache_hits += 1
                 if observer is not None:
@@ -409,8 +452,38 @@ class BrokerRepository:
             if PROFILER.enabled:
                 PROFILER.end("cache.lookup")
 
+    def _still_valid(self, key, query: BrokerQuery, entry) -> bool:
+        """Replay the plane mutations *entry* has missed.
+
+        A list computed at write *s* is what a recompute returns at *t*
+        iff no agent removed in (s, t] is in it and no agent added in
+        (s, t] and still present matches the query.  The removals are
+        set lookups; the additions are OR-ed into one plane probe,
+        however long the log.  A valid entry is re-stamped at *t*; one
+        that has fallen off the log is a miss.
+        """
+        sequence, matches, names = entry
+        log = self._write_log
+        behind = self._writes - sequence
+        if behind > len(log):
+            return False
+        added = set()
+        for removed, entered in islice(log, len(log) - behind, None):
+            if removed in names:
+                return False
+            if entered is not None:
+                added.add(entered)
+        if added and self._plane.matches_any(query, self.context, added):
+            return False
+        self._match_cache[key] = (self._writes, matches, names)
+        return True
+
     def _cache_store(self, key, matches: List[Match]) -> None:
-        self._match_cache[key] = (self.generation, tuple(matches))
+        self._match_cache[key] = (
+            self._writes,
+            tuple(matches),
+            frozenset(match.agent_name for match in matches),
+        )
         self._match_cache.move_to_end(key)
         while len(self._match_cache) > self.match_cache_size:
             self._match_cache.popitem(last=False)

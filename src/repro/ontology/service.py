@@ -134,10 +134,13 @@ class ServiceDescription:
     """
 
     location: AgentLocation
-    syntax: SyntacticInfo = field(default_factory=SyntacticInfo)
-    capabilities: Capabilities = field(default_factory=Capabilities)
-    content: ContentInfo = field(default_factory=ContentInfo)
-    properties: AgentProperties = field(default_factory=AgentProperties)
+    # The blocks are immutable, so every description that leaves one
+    # out shares the same default instance instead of building its own
+    # (three objects fewer per typical advertisement).
+    syntax: SyntacticInfo = SyntacticInfo()
+    capabilities: Capabilities = Capabilities()
+    content: ContentInfo = ContentInfo()
+    properties: AgentProperties = AgentProperties()
     broker: Optional[BrokerExtensions] = None
 
     @property

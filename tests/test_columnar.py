@@ -9,6 +9,9 @@ results:
 * compiled per-domain overlap checkers agree with ``overlaps_domains``
   and compiled constraint checkers with ``Constraint.overlaps``
   (hypothesis, including open and infinite endpoints);
+* the grid under an interval column's sweep is a conservative filter
+  and nothing more: with it or without it ``overlap_mask`` is the
+  brute-force overlap test, across builds, rebuilds and id reuse;
 * randomized communities rank identically on the plane and under the
   scan and Datalog oracles — with constraint pools exercising open/unbounded
   intervals, point queries that empty the posting sets, and both the
@@ -21,6 +24,7 @@ results:
 """
 
 import random
+from unittest.mock import patch
 
 import pytest
 from hypothesis import given, strategies as st
@@ -36,6 +40,7 @@ from repro.constraints import (
     parse_constraint,
     simple_numeric_interval,
 )
+from repro.constraints.compile import intervals_overlap
 from repro.constraints.domains import overlaps_domains
 from repro.core import (
     BrokerQuery,
@@ -43,7 +48,8 @@ from repro.core import (
     MatchContext,
     match_advertisements,
 )
-from repro.core.columnar import ColumnarPlane
+from repro.core import columnar
+from repro.core.columnar import ColumnarPlane, _SlotColumn
 from repro.core.store import SQLiteAdStore
 from tests.test_matchmaking_equivalence import (
     ONTOLOGY_NAMES,
@@ -62,7 +68,7 @@ values = st.integers(min_value=-20, max_value=20)
 
 
 @st.composite
-def intervals(draw):
+def intervals(draw, values=values):
     lo = draw(st.one_of(st.none(), values))
     hi = draw(st.one_of(st.none(), values))
     if lo is not None and hi is not None and lo > hi:
@@ -114,6 +120,135 @@ def test_simple_numeric_interval_is_faithful(domain):
             or (hi_open and probe == hi)
         )
         assert inside == domain.contains(probe)
+
+
+# ----------------------------------------------------------------------
+# the grid under the interval sweep
+# ----------------------------------------------------------------------
+
+#: Every integer up to 2**53 is a float and above it only the even ones
+#: are: an interval ending on an odd one is not array-resident (it keeps
+#: its compiled checker), its neighbours are.
+wide_values = st.one_of(values, st.sampled_from(
+    [2 ** 53, 2 ** 53 + 1, 2 ** 53 + 2, 2 ** 53 + 3, -(2 ** 53) - 1]))
+one_interval = intervals(wide_values).map(lambda iv: IntervalSet([iv]))
+column_steps = st.lists(st.one_of(
+    st.tuples(st.just("add"), one_interval),
+    st.tuples(st.just("add"), one_interval),  # twice: the column must grow
+    st.tuples(st.just("remove"), st.integers(min_value=0)),
+    st.tuples(st.just("sweep"), one_interval, st.integers(min_value=0)),
+), min_size=20, max_size=80)
+
+
+def brute_force_overlap(ads, query_domain, live):
+    """Bits of *live* whose domain in *ads* (id -> domain) overlaps."""
+    query_simple = simple_numeric_interval(query_domain)
+    passing = 0
+    for ad_id, domain in ads.items():
+        simple = simple_numeric_interval(domain)
+        if simple is not None and query_simple is not None:
+            overlaps = intervals_overlap(simple, query_simple)
+        else:
+            overlaps = overlaps_domains(domain, query_domain)
+        if overlaps:
+            passing |= 1 << ad_id
+    return passing & live
+
+
+@given(column_steps)
+def test_grid_is_a_conservative_filter_and_nothing_more(steps):
+    """Two columns fed alike, one allowed a grid from its second simple
+    ad on (so it is built, outgrown, dropped and rebuilt within a few
+    steps) and one never: both sweep to the brute-force answer."""
+    gridded, plain = _SlotColumn(), _SlotColumn()
+    ads, free, issued = {}, [], 0
+    for step in steps:
+        if step[0] == "add":
+            if free:
+                ad_id = free.pop()  # the plane reuses ids the same way
+            else:
+                ad_id, issued = issued, issued + 1
+            ads[ad_id] = step[1]
+            for column in (gridded, plain):
+                column.add(ad_id, 1 << ad_id, step[1])
+        elif step[0] == "remove":
+            if ads:
+                ad_id = sorted(ads)[step[1] % len(ads)]
+                domain = ads.pop(ad_id)
+                free.append(ad_id)
+                for column in (gridded, plain):
+                    column.remove(ad_id, 1 << ad_id, ~(1 << ad_id), domain)
+        else:
+            _, query_domain, subset = step
+            everyone = sum(1 << ad_id for ad_id in ads)
+            for live in (everyone, everyone & subset):
+                expected = brute_force_overlap(ads, query_domain, live)
+                with patch.object(columnar, "_GRID_MIN_ADS", 2):
+                    assert gridded.overlap_mask(query_domain, live) == expected
+                assert plain.overlap_mask(query_domain, live) == expected
+    assert plain.grid_edges is None
+    assert gridded.simple_count == plain.simple_count == sum(
+        simple_numeric_interval(domain) is not None for domain in ads.values())
+
+
+def test_grid_build_and_rebuild_rule():
+    """Built by the first sweep over >= 256 simple ads, maintained in
+    place by add / remove, dropped once the population has doubled and
+    rebuilt by the next sweep — and through all of it the sweep equals
+    the brute force while the cells keep most ads from being unpacked."""
+    rng = random.Random(5)
+    column = _SlotColumn()
+    ads = {}
+
+    def add(ad_id):
+        lo = None if rng.random() < 0.05 else rng.randrange(1_000)
+        hi = None if rng.random() < 0.05 else (lo or 0) + rng.randrange(80)
+        ads[ad_id] = IntervalSet([Interval(lo, hi)])
+        column.add(ad_id, 1 << ad_id, ads[ad_id])
+
+    def remove(ad_id):
+        column.remove(ad_id, 1 << ad_id, ~(1 << ad_id), ads.pop(ad_id))
+
+    def sweep():
+        everyone = sum(1 << ad_id for ad_id in ads)
+        for lo in (-5, 0, 333, 500, 999, 1_100):
+            for domain in (IntervalSet([Interval(lo, lo + 5)]),
+                           IntervalSet([Interval(lo, None, lo_open=True)]),
+                           IntervalSet([Interval(None, lo)])):
+                assert column.overlap_mask(domain, everyone) == (
+                    brute_force_overlap(ads, domain, everyone))
+
+    for ad_id in range(255):
+        add(ad_id)
+    sweep()
+    assert column.grid_edges is None  # too few ads to be worth a grid
+    add(255)
+    assert column.grid_edges is None  # built by a sweep, not by a write
+    sweep()
+    assert column.grid_built_at == 256
+    assert 1 < len(column.grid_cells) <= 64
+    assert column.grid_edges == sorted(set(column.grid_edges))
+    reach = 0
+    for j in column._cell_span(500.0, 505.0):
+        reach |= column.grid_cells[j]
+    assert reach.bit_count() < column.simple_count // 3
+
+    edges = column.grid_edges
+    for ad_id in range(256, 512):
+        add(ad_id)
+    assert column.grid_edges is edges  # maintained in place up to 2x
+    sweep()
+    for ad_id in range(0, 512, 5):
+        remove(ad_id)
+    sweep()
+    for ad_id in range(0, 512, 5):  # the freed ids come back, elsewhere
+        add(ad_id)
+    sweep()
+    assert column.grid_edges is edges and column.simple_count == 512
+    add(512)
+    assert column.grid_edges is None  # doubled since the build: dropped
+    sweep()
+    assert column.grid_built_at == 513
 
 
 # ----------------------------------------------------------------------

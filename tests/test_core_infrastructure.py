@@ -1,5 +1,11 @@
 """Tests for repository, search policy, consortium network, advertisement."""
 
+import os
+import random
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.core import (
@@ -14,6 +20,18 @@ from repro.core import (
 )
 from repro.ontology import AgentLocation, BrokerExtensions, ServiceDescription
 from tests.test_core_matcher import make_ad
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+
+def run_python(code, **env):
+    """*code* in a fresh interpreter over ``src/``; its stdout."""
+    done = subprocess.run(
+        [sys.executable, "-c", code], check=True, text=True,
+        stdout=subprocess.PIPE, timeout=60,
+        env={**os.environ, "PYTHONPATH": SRC, **env},
+    )
+    return done.stdout
 
 
 def broker_ad(name, specializations=()):
@@ -86,6 +104,25 @@ class TestRepository:
         repo.advertise(Advertisement(make_ad("a").description, size_mb=2.0))
         repo.advertise(Advertisement(broker_ad("b").description, size_mb=0.5))
         assert repo.size_mb() == pytest.approx(2.5)
+
+    def test_size_mb_is_the_fresh_sum_after_every_write(self):
+        """The memoised total is dropped by every put / pop and
+        recomputed by the same sum — equal to the bit, not approximately:
+        virtual reasoning times are derived from it."""
+        rng = random.Random(7)
+        repo = BrokerRepository()
+        for _ in range(200):
+            name = f"a{rng.randrange(8)}"
+            roll = rng.random()
+            if roll < 0.3:
+                repo.unadvertise(name)
+            else:
+                description = (broker_ad(name) if roll < 0.5 else make_ad(name)).description
+                repo.advertise(Advertisement(description, size_mb=rng.uniform(0.1, 3.0)))
+            fresh = sum(ad.size_mb for ad in repo.agent_ads()) + sum(
+                ad.size_mb for ad in repo.broker_ads())
+            assert repo.size_mb() == fresh
+            assert repo.size_mb() == fresh  # and again, from the memo
 
     def test_stats_counters(self):
         repo = BrokerRepository()
@@ -179,6 +216,37 @@ class TestConsortium:
         assert tree["b1"] == ["b2"]
         assert tree["b2"] == ["b3"]
 
+    def test_spanning_tree_does_not_depend_on_the_hash_seed(self):
+        """Consortium members are a frozenset of strings, whose
+        iteration order moves with PYTHONHASHSEED; the tree must not."""
+        code = (
+            "from repro.core import BrokerNetwork, Consortium\n"
+            "net = BrokerNetwork()\n"
+            "net.add_consortium(Consortium('x', frozenset({'b1', 'b2', 'b3'})))\n"
+            "net.add_consortium(Consortium('y', frozenset({'b2', 'b3', 'b4', 'b5'})))\n"
+            "print(net.spanning_tree_from('b1'), sorted(net.reachable_from('b4')))\n"
+        )
+        trees = {run_python(code, PYTHONHASHSEED=str(seed)) for seed in range(1, 6)}
+        assert trees == {
+            "{'b1': ['b2', 'b3'], 'b2': ['b4', 'b5']} "
+            "['b1', 'b2', 'b3', 'b4', 'b5']\n"
+        }
+
+    def test_directed_reachability_and_weak_connectivity(self):
+        net = BrokerNetwork()
+        net.record_advertisement("b1", to_broker="b2")  # b2 knows b1
+        net.record_advertisement("b3", to_broker="b2")
+        assert net.reachable_from("b2") == {"b1", "b2", "b3"}
+        assert net.reachable_from("b1") == {"b1"}
+        assert net.reachable_from("ghost") == set()
+        assert net.is_connected()  # weakly: arcs count in both directions
+        net.add_broker("b4")
+        assert not net.is_connected()
+        net.record_departure("b2")
+        assert net.brokers() == ["b1", "b3", "b4"]
+        assert net.known_by("b2") == [] and net.known_by("b3") == []
+        assert not net.is_connected()
+
     def test_spanning_tree_unknown_broker(self):
         with pytest.raises(BrokeringError):
             BrokerNetwork().spanning_tree_from("ghost")
@@ -188,3 +256,12 @@ class TestConsortium:
         net.add_consortium(Consortium("c", frozenset({"b1", "b2"})))
         with pytest.raises(BrokeringError):
             net.add_consortium(Consortium("c", frozenset({"b3"})))
+
+
+def test_package_imports_without_third_party_modules():
+    """``pyproject.toml`` declares no runtime dependency, so nothing
+    under ``src/`` may need one: networkx is a test-only oracle."""
+    run_python(
+        "import sys; sys.modules['networkx'] = None\n"
+        "import repro.core, repro.agents, repro.sim, repro.experiments, repro.cli\n"
+    )

@@ -182,6 +182,21 @@ class TestServiceOntology:
         loc = AgentLocation(name="b1", agent_type="broker")
         assert ServiceDescription(location=loc).is_broker()
 
+    def test_omitted_blocks_are_shared_and_immutable(self):
+        """A description that leaves a block out gets the one default
+        instance — safe because the blocks cannot be changed in place."""
+        import dataclasses
+
+        one = ServiceDescription(AgentLocation(name="a1"))
+        other = ServiceDescription(AgentLocation(name="a2"))
+        for block in ("syntax", "capabilities", "content", "properties"):
+            assert getattr(one, block) is getattr(other, block)
+        assert one.syntax == SyntacticInfo() and one.content == ContentInfo()
+        assert one.capabilities == Capabilities()
+        assert one.properties == AgentProperties()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            one.properties.mobile = True
+
 
 class TestSampleOntologies:
     def test_healthcare_classes(self):
