@@ -64,8 +64,10 @@ class Constraint:
     def from_atoms(cls, atoms: Iterable[Atom]) -> "Constraint":
         domains: Dict[str, Domain] = {}
         for atom in atoms:
-            current = domains.get(atom.slot, FULL_DOMAIN)
-            domains[atom.slot] = intersect_domains(current, atom.domain())
+            domain = atom.domain()
+            if atom.slot in domains:
+                domain = intersect_domains(domains[atom.slot], domain)
+            domains[atom.slot] = domain
         return cls(domains)
 
     # ------------------------------------------------------------------

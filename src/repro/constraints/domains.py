@@ -125,14 +125,18 @@ def intersect_domains(a: Domain, b: Domain) -> Domain:
 
 
 def _comparable_points(interval_set: IntervalSet, points) -> list:
-    """The subset of *points* orderable against *interval_set*'s values."""
+    """The subset of *points* of the value type of *interval_set*'s
+    endpoints: a point of another type (a bool against numbers too, as
+    :func:`type_tag` has it) cannot lie in the set."""
+    tags = {iv.tag for iv in interval_set.intervals} - {None}
     comparable = []
     for point in points:
         try:
-            interval_set.contains(point)
+            tag = type_tag(point)
         except TypeError:
             continue
-        comparable.append(point)
+        if not tags or tag in tags:
+            comparable.append(point)
     return comparable
 
 

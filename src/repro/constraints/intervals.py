@@ -128,6 +128,9 @@ class Interval:
         return f"{lo}, {hi}"
 
 
+_FULL_INTERVAL = Interval()
+
+
 def _interval_is_empty(iv: Interval) -> bool:
     if iv.lo is None or iv.hi is None:
         return False
@@ -190,7 +193,7 @@ class IntervalSet:
         return not self.intervals
 
     def is_full(self) -> bool:
-        return len(self.intervals) == 1 and self.intervals[0] == Interval.full()
+        return len(self.intervals) == 1 and self.intervals[0] == _FULL_INTERVAL
 
     def contains(self, value) -> bool:
         return any(iv.contains(value) for iv in self.intervals)
@@ -241,6 +244,8 @@ class IntervalSet:
 
 def _normalize(intervals: List[Interval]) -> Tuple[Interval, ...]:
     """Drop empties, sort, and merge overlapping/adjacent intervals."""
+    if len(intervals) == 1 and not _interval_is_empty(intervals[0]):
+        return (intervals[0],)
     live = [iv for iv in intervals if not _interval_is_empty(iv)]
     if not live:
         return ()

@@ -13,14 +13,18 @@ conjunctive dialect of those descriptions:
     op       := "=" | "==" | "!=" | "<>" | "<" | "<=" | ">" | ">="
     slot     := identifier ("." identifier)*      -- dots preserved
     value    := number | 'quoted string' | "quoted string" | bareword
+    number   := -?digits ("." digits)? ([eE] [-+]? digits)?
 
-Barewords are treated as strings, so ``city = Dallas`` works.
+Barewords are treated as strings, so ``city = Dallas`` works; a number
+with a ``.`` or an exponent is a float, so the repr of a finite float
+parses back (``p < 1e-05``).
 """
 
 from __future__ import annotations
 
+import functools
 import re
-from typing import Iterator, List
+from typing import List
 
 from repro.constraints.atoms import Atom, Op
 from repro.constraints.conjunction import Constraint
@@ -30,17 +34,28 @@ class ConstraintParseError(ValueError):
     """Raised when a constraint description cannot be parsed."""
 
 
+#: Distinct constraint texts :func:`parse_constraint` remembers.  The
+#: advertisements a broker holds repeat a few thousand texts, and a
+#: :class:`Constraint` is immutable, so equal texts share one result.
+PARSE_MEMO_SIZE = 4096
+
+# One token per match, leading whitespace included; ``bad`` catches the
+# first character no token starts with.
 _TOKEN_RE = re.compile(
     r"""
-        (?P<number>-?\d+\.\d+|-?\d+)
+      \s*(?:
+        (?P<number>-?\d+(?:\.\d+)?(?:[eE][-+]?\d+)?)
       | (?P<sq>'(?:[^'\\]|\\.)*')
       | (?P<dq>"(?:[^"\\]|\\.)*")
       | (?P<op><=|>=|==|!=|<>|=|<|>)
       | (?P<punct>[(),])
       | (?P<word>[A-Za-z_][A-Za-z0-9_.\-]*)
+      | (?P<bad>\S)
+      )
     """,
     re.VERBOSE,
 )
+_ESCAPE_RE = re.compile(r"\\(.)")
 
 _OP_MAP = {
     "=": Op.EQ,
@@ -56,28 +71,19 @@ _OP_MAP = {
 
 def _tokenize(text: str) -> List[tuple]:
     tokens = []
-    pos = 0
-    while pos < len(text):
-        if text[pos].isspace():
-            pos += 1
-            continue
-        m = _TOKEN_RE.match(text, pos)
-        if not m:
+    for m in _TOKEN_RE.finditer(text):
+        kind = m.lastgroup
+        raw = m.group(kind)
+        if kind == "number":
+            is_float = "." in raw or "e" in raw or "E" in raw
+            tokens.append(("value", float(raw) if is_float else int(raw)))
+        elif kind == "sq" or kind == "dq":
+            tokens.append(("value", _ESCAPE_RE.sub(r"\1", raw[1:-1])))
+        elif kind == "bad":
+            pos = m.start(kind)
             raise ConstraintParseError(f"cannot tokenize at: {text[pos:pos + 20]!r}")
-        pos = m.end()
-        if m.lastgroup == "number":
-            raw = m.group("number")
-            value = float(raw) if "." in raw else int(raw)
-            tokens.append(("value", value))
-        elif m.lastgroup in ("sq", "dq"):
-            raw = m.group(m.lastgroup)[1:-1]
-            tokens.append(("value", re.sub(r"\\(.)", r"\1", raw)))
-        elif m.lastgroup == "op":
-            tokens.append(("op", m.group("op")))
-        elif m.lastgroup == "punct":
-            tokens.append(("punct", m.group("punct")))
         else:
-            tokens.append(("word", m.group("word")))
+            tokens.append((kind, raw))
     return tokens
 
 
@@ -142,14 +148,14 @@ def _parse_clause(cursor: _Cursor) -> Atom:
             value = token_word_to_value(value)
         elif vkind != "value":
             raise ConstraintParseError(f"expected a value, got {value!r}")
-        return Atom(slot_name, _OP_MAP[token], value)
+        return _atom(slot_name, _OP_MAP[token], value)
     if kind == "word" and token.lower() == "between":
         lo = _expect_value(cursor)
         sep = cursor.next()
         if not _keyword(sep, "and"):
             raise ConstraintParseError("BETWEEN requires '<lo> and <hi>'")
         hi = _expect_value(cursor)
-        return Atom(slot_name, Op.BETWEEN, (lo, hi))
+        return _atom(slot_name, Op.BETWEEN, (lo, hi))
     if kind == "word" and token.lower() == "in":
         open_paren = cursor.next()
         if open_paren != ("punct", "("):
@@ -162,8 +168,15 @@ def _parse_clause(cursor: _Cursor) -> Atom:
             if (kind, token) != ("punct", ","):
                 raise ConstraintParseError(f"expected ',' or ')', got {token!r}")
             values.append(_expect_value(cursor))
-        return Atom(slot_name, Op.IN, tuple(values))
+        return _atom(slot_name, Op.IN, tuple(values))
     raise ConstraintParseError(f"expected an operator after {slot_name!r}, got {token!r}")
+
+
+def _atom(slot: str, op: Op, value) -> Atom:
+    try:
+        return Atom(slot, op, value)
+    except ValueError as exc:  # ill-typed: BETWEEN 'a' AND 5, x < true
+        raise ConstraintParseError(f"{slot} {op.value}: {exc}") from exc
 
 
 def _expect_value(cursor: _Cursor):
@@ -185,8 +198,13 @@ def token_word_to_value(word: str):
     return word
 
 
+@functools.lru_cache(maxsize=PARSE_MEMO_SIZE)
 def parse_constraint(text: str) -> Constraint:
     """Parse a constraint description into a :class:`Constraint`.
+
+    Equal texts return the same (immutable) object while the text is
+    among the :data:`PARSE_MEMO_SIZE` most recently parsed; a text that
+    fails to parse raises :class:`ConstraintParseError` every time.
 
     >>> parse_constraint("age between 25 and 65").slots
     ['age']

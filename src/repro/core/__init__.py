@@ -17,16 +17,22 @@ This package is the paper's primary contribution, reimplemented:
 * :class:`Consortium` / :class:`BrokerNetwork` — multibroker topology.
 """
 
-from repro.core.errors import BrokeringError
-from repro.core.advertisement import Advertisement
-from repro.core.query import BrokerQuery, QueryMode
-from repro.core.matcher import Match, MatchContext, match_advertisements
-from repro.core.scoring import score_match
-from repro.core.repository import BrokerRepository
-from repro.core.datalog_matcher import DatalogMatcher
-from repro.core.policy import FollowOption, SearchPolicy
-from repro.core.consortium import BrokerNetwork, Consortium
-from repro.core.results import project_matches, result_format_fields
+from repro._lazy import lazy_exports
+
+# Resolved on first use: importing the repository does not import the
+# Datalog oracle, the consortium or the result projection.
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "errors": ["BrokeringError"],
+    "advertisement": ["Advertisement"],
+    "query": ["BrokerQuery", "QueryMode"],
+    "matcher": ["Match", "MatchContext", "match_advertisements"],
+    "scoring": ["score_match"],
+    "repository": ["BrokerRepository"],
+    "datalog_matcher": ["DatalogMatcher"],
+    "policy": ["FollowOption", "SearchPolicy"],
+    "consortium": ["BrokerNetwork", "Consortium"],
+    "results": ["project_matches", "result_format_fields"],
+})
 
 __all__ = [
     "Advertisement",

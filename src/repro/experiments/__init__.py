@@ -18,41 +18,42 @@ Tables 1-6 and Figures 14-17.
   for those runs.
 """
 
-from repro.experiments.streams import (
-    EXPERIMENT_STREAMS,
-    STREAMS,
-    QueryStream,
-    build_experiment_community,
-    resources_required,
-)
-from repro.experiments.live import (
-    LiveRunResult,
-    run_live_experiment,
-    table2_configurations,
-    table3_ratios,
-    table4_ratios,
-)
-from repro.experiments.figures import (
-    figure14_series,
-    figure15_series,
-    figure16_series,
-    figure17_series,
-)
-from repro.experiments.robustness import (
-    chaos_config,
-    chaos_grid,
-    table5_grid,
-    table6_grid,
-)
-from repro.experiments.report import format_series, format_table
-from repro.experiments.workload import (
-    WORKLOAD_SHAPES,
-    load_grid,
-    run_workload,
-    summarize_run,
-    workload_config,
-)
-from repro.experiments.console import render_frame
+from repro._lazy import lazy_exports
+
+# Resolved on first use: a caller of one experiment does not import the
+# simulator, the live harness and the console together.
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "streams": [
+        "EXPERIMENT_STREAMS",
+        "STREAMS",
+        "QueryStream",
+        "build_experiment_community",
+        "resources_required",
+    ],
+    "live": [
+        "LiveRunResult",
+        "run_live_experiment",
+        "table2_configurations",
+        "table3_ratios",
+        "table4_ratios",
+    ],
+    "figures": [
+        "figure14_series",
+        "figure15_series",
+        "figure16_series",
+        "figure17_series",
+    ],
+    "robustness": ["chaos_config", "chaos_grid", "table5_grid", "table6_grid"],
+    "report": ["format_series", "format_table"],
+    "workload": [
+        "WORKLOAD_SHAPES",
+        "load_grid",
+        "run_workload",
+        "summarize_run",
+        "workload_config",
+    ],
+    "console": ["render_frame"],
+})
 
 __all__ = [
     "WORKLOAD_SHAPES",

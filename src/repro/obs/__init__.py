@@ -63,70 +63,76 @@ from repro.obs.events import (
     compose,
     summarize_content,
 )
-from repro.obs.explain import (
-    REJECT_REASONS,
-    ExplainSink,
-    FlightEntry,
-    FlightRecorder,
-    HopGraph,
-    QueryExplanation,
-    Verdict,
-    build_hop_graph,
-    explain_report,
-    trace_ids,
-)
-from repro.obs.export import (
-    read_jsonl,
-    registry_to_json,
-    render_span_tree,
-    spans_to_jsonl,
-    write_jsonl,
-)
-from repro.obs.bench import (
-    REPORT_SCHEMA_VERSION,
-    Indicator,
-    Regression,
-    build_report,
-    check_report,
-    format_check,
-    format_report,
-    write_report,
-)
-from repro.obs.metrics import (
-    DEFAULT_BUCKETS,
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsObserver,
-    MetricsRegistry,
-)
-from repro.obs.profiler import PROFILER, PhaseProfiler, PhaseStat, profiling
-from repro.obs.sampling import (
-    ConversationOutcome,
-    SamplingStats,
-    SamplingTracer,
-    TraceBudget,
-)
-from repro.obs.slo import (
-    DEFAULT_SLOS,
-    SLOResult,
-    SLOSpec,
-    evaluate_slos,
-    format_health,
-    health_ok,
-    load_slo_specs,
-)
-from repro.obs.timeseries import (
-    SERIES_SCHEMA_VERSION,
-    QuantileSketch,
-    TimeSeries,
-    TimeSeriesObserver,
-    Window,
-    summarize_window,
-    summarize_windows,
-    write_series_jsonl,
-)
-from repro.obs.tracing import ConversationTracer, Span
+from repro._lazy import lazy_exports
+
+# Resolved on first use: observing a bus does not import the scoreboard,
+# the SLO tooling or the JSONL exporters.
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "explain": [
+        "REJECT_REASONS",
+        "ExplainSink",
+        "FlightEntry",
+        "FlightRecorder",
+        "HopGraph",
+        "QueryExplanation",
+        "Verdict",
+        "build_hop_graph",
+        "explain_report",
+        "trace_ids",
+    ],
+    "export": [
+        "read_jsonl",
+        "registry_to_json",
+        "render_span_tree",
+        "spans_to_jsonl",
+        "write_jsonl",
+    ],
+    "bench": [
+        "REPORT_SCHEMA_VERSION",
+        "Indicator",
+        "Regression",
+        "build_report",
+        "check_report",
+        "format_check",
+        "format_report",
+        "write_report",
+    ],
+    "metrics": [
+        "DEFAULT_BUCKETS",
+        "Counter",
+        "Gauge",
+        "Histogram",
+        "MetricsObserver",
+        "MetricsRegistry",
+    ],
+    "profiler": ["PROFILER", "PhaseProfiler", "PhaseStat", "profiling"],
+    "sampling": [
+        "ConversationOutcome",
+        "SamplingStats",
+        "SamplingTracer",
+        "TraceBudget",
+    ],
+    "slo": [
+        "DEFAULT_SLOS",
+        "SLOResult",
+        "SLOSpec",
+        "evaluate_slos",
+        "format_health",
+        "health_ok",
+        "load_slo_specs",
+    ],
+    "timeseries": [
+        "SERIES_SCHEMA_VERSION",
+        "QuantileSketch",
+        "TimeSeries",
+        "TimeSeriesObserver",
+        "Window",
+        "summarize_window",
+        "summarize_windows",
+        "write_series_jsonl",
+    ],
+    "tracing": ["ConversationTracer", "Span"],
+})
 
 __all__ = [
     "DEFAULT_SLOS",

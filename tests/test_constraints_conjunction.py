@@ -1,8 +1,20 @@
 """Tests for conjunctive constraints and the brokering algebra."""
 
-import pytest
+import doctest
 
-from repro.constraints import Atom, Constraint, Op, parse_constraint
+import pytest
+from hypothesis import given, strategies as st
+
+import repro.constraints.parser
+from repro.constraints import (
+    FULL_DOMAIN,
+    Atom,
+    Constraint,
+    ConstraintParseError,
+    Op,
+    intersect_domains,
+    parse_constraint,
+)
 
 
 def c(text: str) -> Constraint:
@@ -158,13 +170,88 @@ class TestParser:
         assert c("").is_unconstrained()
 
     def test_parse_errors(self):
-        from repro.constraints import ConstraintParseError
-
         for bad in ("age >", "between 1 and 2", "age between 1", "x in ()", "x in 1",
-                    "age = 1 or age = 2", "age ~ 5"):
-            with pytest.raises(ConstraintParseError):
-                c(bad)
+                    "age = 1 or age = 2", "age ~ 5", "x = 1e"):
+            for _ in range(2):  # a failed parse is not memoised
+                with pytest.raises(ConstraintParseError):
+                    c(bad)
 
     def test_roundtrip_quoted_escapes(self):
         cons = c(r"name = 'O\'Brien'")
         assert cons.matches_record({"name": "O'Brien"})
+
+    def test_exponent_floats(self):
+        assert c("x = 1e5") == c("x = 100000.0")
+        assert c("p >= 1e+16").domain("p").contains(2e16)
+        atom = Atom("p", Op.LT, 1e-05)
+        assert c(repr(atom)) == Constraint.from_atoms([atom])
+
+    def test_ill_typed_atoms_are_parse_errors(self):
+        for bad in ("x between 'a' and 5", "x < true", "x >= false"):
+            for _ in range(2):
+                with pytest.raises(ConstraintParseError) as raised:
+                    c(bad)
+                assert isinstance(raised.value.__cause__, ValueError)
+
+    def test_equal_texts_share_one_constraint(self):
+        text = "patient age between 43 and 75 and code in ('40W', '41A')"
+        first = parse_constraint(text)
+        assert parse_constraint(text) is first
+        assert parse_constraint(text + " ") == first
+
+    def test_parse_constraint_doctest_is_collected(self):
+        found = doctest.DocTestFinder().find(repro.constraints.parser)
+        names = {t.name for t in found if t.examples}
+        assert "repro.constraints.parser.parse_constraint" in names
+
+
+# ----------------------------------------------------------------------
+# the parser against a reference fold, on rendered atom conjunctions
+# ----------------------------------------------------------------------
+_KEYWORDS = {"and", "between", "in"}
+_slot_words = st.from_regex(r"[a-z_][a-z0-9_.]{0,5}", fullmatch=True).filter(
+    lambda word: word not in _KEYWORDS)
+_slots = st.lists(_slot_words, min_size=1, max_size=3)
+_numbers = st.one_of(
+    st.integers(min_value=-10**6, max_value=10**6),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([1e-05, -2.5e-07, 1e16, -3e+21]),
+)
+_strings = st.text(alphabet="ab '\"\\", max_size=5)
+_ORDERED = [Op.LT, Op.LE, Op.GT, Op.GE]
+
+
+@st.composite
+def _atoms(draw, slot_words):
+    words = draw(st.sampled_from(slot_words))
+    kind = draw(st.sampled_from(["number", "string", "bool"]))
+    scalars = {"number": _numbers, "string": _strings, "bool": st.booleans()}[kind]
+    ops = [Op.EQ, Op.NEQ, Op.IN] + ([] if kind == "bool" else _ORDERED + [Op.BETWEEN])
+    op = draw(st.sampled_from(ops))
+    if op is Op.BETWEEN:  # unordered bounds give an empty between
+        value = (draw(scalars), draw(scalars))
+    elif op is Op.IN:
+        value = tuple(draw(st.lists(scalars, min_size=1, max_size=3)))
+    else:
+        value = draw(scalars)
+    return words, Atom(" ".join(words), op, value)
+
+
+@st.composite
+def _conjunctions(draw):
+    # A few slots per conjunction, so that slots repeat.
+    slot_words = draw(st.lists(_slots, min_size=1, max_size=3))
+    return draw(st.lists(_atoms(slot_words), max_size=5))
+
+
+@given(_conjunctions())
+def test_parser_equals_reference_fold(conjunction):
+    text = " and ".join(repr(atom) for _, atom in conjunction)
+    domains = {}
+    for words, atom in conjunction:
+        slot = "_".join(words)  # the parser joins a multi-word slot
+        domains[slot] = intersect_domains(domains.get(slot, FULL_DOMAIN), atom.domain())
+    expected = Constraint(domains)
+    parsed = parse_constraint(text)
+    assert parsed == expected
+    assert parsed.cache_key() == expected.cache_key()

@@ -95,9 +95,12 @@ class TestIntersect:
         assert intersect_domains(IntervalSet.point(5), c).is_empty()
 
     def test_complement_interval_incomparable_points_ignored(self):
-        c = Complement(frozenset(["x"]))
-        result = intersect_domains(iv(0, 10), c)
-        assert result == iv(0, 10)
+        # A bool is not a number here (type_tag), though True == 1.
+        for domain, excluded in ((iv(0, 10), "x"), (iv(0, 10), True),
+                                 (iv(False, True), 1)):
+            c = Complement(frozenset([excluded]))
+            assert intersect_domains(domain, c) == domain
+            assert subsumes_domain(c, domain)
 
     def test_interval_string_vs_number_empty(self):
         strings = IntervalSet([Interval("a", "z")])

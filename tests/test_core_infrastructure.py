@@ -1,5 +1,6 @@
 """Tests for repository, search policy, consortium network, advertisement."""
 
+import importlib
 import os
 import random
 import subprocess
@@ -260,8 +261,58 @@ class TestConsortium:
 
 def test_package_imports_without_third_party_modules():
     """``pyproject.toml`` declares no runtime dependency, so nothing
-    under ``src/`` may need one: networkx is a test-only oracle."""
+    under ``src/`` may need one: networkx is a test-only oracle.  Every
+    module is imported by name, since a package ``__init__`` re-exports
+    lazily and so imports none of its submodules itself."""
     run_python(
-        "import sys; sys.modules['networkx'] = None\n"
-        "import repro.core, repro.agents, repro.sim, repro.experiments, repro.cli\n"
+        "import importlib, pkgutil, sys; sys.modules['networkx'] = None\n"
+        "import repro\n"
+        "for info in pkgutil.walk_packages(repro.__path__, 'repro.'):\n"
+        "    if not info.name.endswith('__main__'):\n"
+        "        importlib.import_module(info.name)\n"
     )
+
+
+def loaded_modules(statement):
+    """The ``repro`` modules a fresh interpreter holds after *statement*."""
+    out = run_python(
+        "import sys\n" + statement + "\n"
+        "print(' '.join(sorted(m for m in sys.modules if m.split('.')[0] == 'repro')))"
+    )
+    return set(out.split())
+
+
+def test_match_only_imports_are_the_matchmaking_core():
+    """Start-up compiles what it imports: the repository and the parser
+    pull in the match plane, constraints and ontologies, not the Datalog
+    oracle, the agents, the simulator or the experiment harness."""
+    assert loaded_modules(
+        "from repro.core import BrokerRepository\n"
+        "from repro.constraints import parse_constraint"
+    ) == {
+        "repro", "repro._lazy",
+        "repro.constraints", "repro.constraints.atoms", "repro.constraints.compile",
+        "repro.constraints.conjunction", "repro.constraints.domains",
+        "repro.constraints.intervals", "repro.constraints.parser",
+        "repro.core", "repro.core.advertisement", "repro.core.columnar",
+        "repro.core.errors", "repro.core.matcher", "repro.core.query",
+        "repro.core.repository", "repro.core.scoring",
+        "repro.obs", "repro.obs.events", "repro.obs.explain", "repro.obs.profiler",
+        "repro.ontology", "repro.ontology.capability", "repro.ontology.demo",
+        "repro.ontology.healthcare", "repro.ontology.model", "repro.ontology.service",
+    }
+
+
+def test_obs_package_imports_only_the_observer_interface():
+    assert loaded_modules("import repro.obs") == {
+        "repro", "repro._lazy", "repro.obs", "repro.obs.events",
+    }
+
+
+@pytest.mark.parametrize("package", ["repro.core", "repro.obs", "repro.experiments"])
+def test_lazy_reexports_resolve_every_name(package):
+    module = importlib.import_module(package)
+    assert all(getattr(module, name) is not None for name in module.__all__)
+    assert set(module.__all__) <= set(dir(module))
+    with pytest.raises(AttributeError):
+        getattr(module, "no_such_name")
