@@ -19,35 +19,41 @@ Agents provided (paper Figure 1):
 * :class:`MonitorAgent` — subscription-based change monitoring.
 """
 
-from repro.agents.errors import AgentError
-from repro.agents.costs import CostModel
-from repro.agents.bus import MAILBOX_POLICIES, MessageBus, is_maintenance
-from repro.agents.faults import (
-    AdmissionConfig,
-    BackoffPolicy,
-    BreakerConfig,
-    BreakerState,
-    CircuitBreaker,
-    FaultInjector,
-    FaultPlan,
-    LinkFaults,
-    Partition,
-)
-from repro.agents.base import Agent, AgentConfig, HandlerResult
-from repro.agents.broker import BrokerAgent
-from repro.agents.recovery import (
-    AdvertisementJournal,
-    JournalRecord,
-    SyncDelta,
-    SyncDigest,
-)
-from repro.agents.adaptive import AdaptiveUserAgent
-from repro.agents.directory import BulletinBoardAgent
-from repro.agents.resource import ResourceAgent
-from repro.agents.mrq import MultiResourceQueryAgent
-from repro.agents.user import UserAgent
-from repro.agents.ontology_agent import OntologyAgent
-from repro.agents.monitor import MonitorAgent
+from repro._lazy import lazy_exports
+
+# Resolved on first use: importing the bus does not import the broker,
+# the matchmaking core or the other agents.
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "errors": ["AgentError"],
+    "costs": ["CostModel"],
+    "bus": ["MAILBOX_POLICIES", "MessageBus", "is_maintenance"],
+    "faults": [
+        "AdmissionConfig",
+        "BackoffPolicy",
+        "BreakerConfig",
+        "BreakerState",
+        "CircuitBreaker",
+        "FaultInjector",
+        "FaultPlan",
+        "LinkFaults",
+        "Partition",
+    ],
+    "base": ["Agent", "AgentConfig", "HandlerResult"],
+    "broker": ["BrokerAgent"],
+    "recovery": [
+        "AdvertisementJournal",
+        "JournalRecord",
+        "SyncDelta",
+        "SyncDigest",
+    ],
+    "adaptive": ["AdaptiveUserAgent"],
+    "directory": ["BulletinBoardAgent"],
+    "resource": ["ResourceAgent"],
+    "mrq": ["MultiResourceQueryAgent"],
+    "user": ["UserAgent"],
+    "ontology_agent": ["OntologyAgent"],
+    "monitor": ["MonitorAgent"],
+})
 
 __all__ = [
     "AdaptiveUserAgent",

@@ -57,7 +57,6 @@ from repro.ontology.service import (
 
 _AGENT_PING_TIMER = "agent-ping-cycle"
 _SYNC_TIMER = "anti-entropy-cycle"
-_COMPACT_TIMER = "journal-compact"
 
 
 @dataclass(frozen=True)
@@ -124,10 +123,6 @@ class BrokerAgent(Agent):
         # opt-in (see benchmarks/test_ablation_sequential_probe.py).
         sequential_until_match: bool = False,
         match_cache_size: Optional[int] = None,
-        # Persistent repository storage: None keeps advertisements
-        # resident in dicts; a path (or ":memory:") stores them in
-        # SQLite via the lossless s-expr codec (see repro.core.store).
-        repository_store: Optional[str] = None,
         pull_broker_directory: bool = False,
         # Per-peer circuit breakers (None = disabled, the legacy
         # behaviour): persistently dead consortium peers are skipped
@@ -135,13 +130,12 @@ class BrokerAgent(Agent):
         # in with half-open pings after a cooldown.
         breaker: Optional[BreakerConfig] = None,
         # Crash recovery (all disabled by default — see agents/recovery):
-        # a durable advertisement journal replayed on restart, anti-
+        # a durable advertisement journal replayed on restart, and anti-
         # entropy digest exchange with consortium peers at start and/or
-        # periodically, and periodic journal compaction.
+        # periodically.
         journal: Optional[AdvertisementJournal] = None,
         sync_on_start: bool = False,
         sync_interval: Optional[float] = None,
-        journal_compact_interval: Optional[float] = None,
         # Query forensics: keep the full explain trail + hop counters
         # for the N slowest / failed recommends (see repro.obs.explain).
         # Enabling this turns on per-recommend explain evaluation, which
@@ -172,18 +166,12 @@ class BrokerAgent(Agent):
         )
         from repro.core.repository import DEFAULT_MATCH_CACHE_SIZE
 
-        store = None
-        if repository_store is not None:
-            from repro.core.store import SQLiteAdStore
-
-            store = SQLiteAdStore(repository_store)
         self.repository = BrokerRepository(
             context,
             match_cache_size=(
                 DEFAULT_MATCH_CACHE_SIZE if match_cache_size is None
                 else match_cache_size
             ),
-            store=store,
         )
         self.pull_broker_directory = pull_broker_directory
         self.peer_brokers: List[str] = list(peer_brokers)
@@ -203,13 +191,14 @@ class BrokerAgent(Agent):
         self.journal = journal
         self.sync_on_start = sync_on_start
         self.sync_interval = sync_interval
-        self.journal_compact_interval = journal_compact_interval
         #: Configured consortium, restored verbatim after a strict crash
         #: (peers learned at runtime are volatile state).
         self._initial_peers: Tuple[str, ...] = tuple(peer_brokers)
-        #: Newest advertise/unadvertise record per advertiser — the
-        #: replication state the anti-entropy digests summarize.
-        self._replication: Dict[str, JournalRecord] = {}
+        #: ``{advertiser: (at, seq)}`` of each removal the repository
+        #: holds no newer advertisement for.  The stored advertisements
+        #: plus these are the replication state the anti-entropy digests
+        #: summarize.
+        self._tombstones: Dict[str, Tuple[float, int]] = {}
         #: Virtual time of the last strict crash, cleared once a recovery
         #: path (journal replay or first anti-entropy pull) completes.
         self._crashed_at: Optional[float] = None
@@ -244,7 +233,7 @@ class BrokerAgent(Agent):
         durable storage."""
         super().on_crash()
         self.repository = self.repository.clone_empty()
-        self._replication.clear()
+        self._tombstones.clear()
         self._breakers.clear()
         self._aggregations.clear()
         self._inflight.clear()
@@ -269,23 +258,21 @@ class BrokerAgent(Agent):
         """Rebuild the repository before accepting traffic: replay the
         durable journal (if one exists and the in-memory state is gone),
         then ask consortium peers for what the journal missed."""
-        if self.journal is not None and len(self.journal) and not self._replication:
+        repository = self.repository
+        if (self.journal is not None and len(self.journal)
+                and not (self._tombstones or repository.agent_count
+                         or repository.broker_count)):
             self._replay_journal(result, now)
         if self.sync_on_start and self.peer_brokers:
             self._sync_round(result, now)
         if self.sync_interval:
             self._arm_cycle(result, self.sync_interval, _SYNC_TIMER)
-        if self.journal is not None and self.journal_compact_interval:
-            self._arm_cycle(result, self.journal_compact_interval, _COMPACT_TIMER)
 
     def _replay_journal(self, result: HandlerResult, now: float) -> None:
         applied = 0
-        # One storage transaction for the whole replay: on a persistent
-        # backend this turns per-record commits into one bulk INSERT.
-        with self.repository.bulk():
-            for record in self.journal.replay():
-                if self._apply_record(record, journal=False):
-                    applied += 1
+        for record in self.journal.replay():
+            if self._apply_record(record, journal=False):
+                applied += 1
         cost = self.cost_model.broker_reasoning_seconds(self.repository.size_mb())
         result.cost_seconds += cost
         obs = self.observer
@@ -300,12 +287,7 @@ class BrokerAgent(Agent):
     def _sync_round(self, result: HandlerResult, now: float) -> None:
         """Send our per-advertiser digest to every reachable consortium
         peer; each answers with the records we are missing."""
-        digest = SyncDigest(
-            tuple(sorted(
-                (agent, record.at, record.seq, record.deleted)
-                for agent, record in self._replication.items()
-            ))
-        )
+        digest = SyncDigest(tuple(self._digest_entries()))
         for peer in sorted(set(self.peer_brokers) - {self.name}):
             if self.breaker_config is not None and not self._breaker(peer).allows():
                 continue
@@ -333,13 +315,13 @@ class BrokerAgent(Agent):
             return
         known = digest.as_map()
         records = []
-        for agent, record in sorted(self._replication.items()):
+        for agent, at, seq, _deleted in self._digest_entries():
             if agent == message.sender:
                 continue
             have = known.get(agent)
-            if have is not None and record.lww_key <= have:
+            if have is not None and (at, seq) <= have:
                 continue
-            records.append(record)
+            records.append(self._record_of(agent))
         delta = SyncDelta(tuple(records))
         result.cost_seconds += self.cost_model.broker_reasoning_seconds(
             self.repository.size_mb()
@@ -394,48 +376,82 @@ class BrokerAgent(Agent):
         on its own advertisement."""
         if record.agent == self.name:
             return False
-        current = self._replication.get(record.agent)
-        if current is not None and record.lww_key <= current.lww_key:
+        current = self._lww_key(record.agent)
+        if current is not None and record.lww_key <= current:
             return False
-        self._replication[record.agent] = record
         if record.deleted:
             self.repository.unadvertise(record.agent)
+            self._tombstones[record.agent] = record.lww_key
         else:
             self.repository.advertise(record.ad)
+            self._tombstones.pop(record.agent, None)
             if record.ad.is_broker() and record.agent not in self.peer_brokers:
                 self.peer_brokers.append(record.agent)
         if journal and self.journal is not None:
             self.journal.append(record)
         return True
 
-    def _note_advertise(self, ad: Advertisement) -> None:
-        """Record an accepted advertisement in the replication state and
-        the durable journal."""
-        record = JournalRecord(
-            op=OP_ADVERTISE,
-            agent=ad.agent_name,
-            seq=ad.seq,
-            at=ad.advertised_at,
-            ad=ad,
-        )
-        self._replication[ad.agent_name] = record
+    def _accept(self, ad: Advertisement) -> None:
+        """Store an accepted advertisement (it supersedes any tombstone)
+        and journal it."""
+        self.repository.advertise(ad)
+        self._tombstones.pop(ad.agent_name, None)
         if self.journal is not None:
-            self.journal.append(record)
+            self.journal.record_advertise(ad)
 
-    def _note_unadvertise(self, agent_name: str, now: float) -> None:
-        """Record a removal as a tombstone: it supersedes the removed
-        advertisement (purge time is now, sequence one past the last
-        known) so peers learn of the purge through anti-entropy."""
-        previous = self._replication.get(agent_name)
-        record = JournalRecord(
-            op=OP_UNADVERTISE,
-            agent=agent_name,
-            seq=(previous.seq + 1) if previous is not None else 1,
-            at=now,
-        )
-        self._replication[agent_name] = record
+    def _withdraw(self, agent_name: str, now: float) -> bool:
+        """Remove *agent_name*'s advertisement and leave a tombstone: it
+        supersedes the removed advertisement (removal time is now,
+        sequence one past the advertisement's) so peers learn of the
+        removal through anti-entropy.  True when one was stored."""
+        ad = self.repository.find(agent_name)
+        if ad is None:
+            return False
+        self.repository.unadvertise(agent_name)
+        self._tombstones[agent_name] = (now, ad.seq + 1)
         if self.journal is not None:
-            self.journal.append(record)
+            self.journal.record_unadvertise(agent_name, ad.seq + 1, now)
+        return True
+
+    def _lww_key(self, agent: str) -> Optional[Tuple[float, int]]:
+        """The ``(at, seq)`` of what we hold for *agent* — its stored
+        advertisement or its tombstone — or None."""
+        ad = self.repository.find(agent)
+        if ad is not None:
+            return (ad.advertised_at, ad.seq)
+        return self._tombstones.get(agent)
+
+    def _digest_entries(self) -> List[Tuple[str, float, int, bool]]:
+        """One ``(agent, at, seq, deleted)`` per advertiser we hold a
+        stored advertisement or a tombstone for, in name order."""
+        repository = self.repository
+        entries = [
+            (ad.agent_name, ad.advertised_at, ad.seq, False)
+            for ads in (repository.agent_ads(), repository.broker_ads())
+            for ad in ads
+        ]
+        entries.extend(
+            (agent, at, seq, True) for agent, (at, seq) in self._tombstones.items()
+        )
+        entries.sort()
+        return entries
+
+    def _record_of(self, agent: str) -> JournalRecord:
+        """The replication record of *agent*, which we hold."""
+        ad = self.repository.find(agent)
+        if ad is not None:
+            return JournalRecord(op=OP_ADVERTISE, agent=agent, seq=ad.seq,
+                                 at=ad.advertised_at, ad=ad)
+        at, seq = self._tombstones[agent]
+        return JournalRecord(op=OP_UNADVERTISE, agent=agent, seq=seq, at=at)
+
+    @property
+    def _replication(self) -> Dict[str, JournalRecord]:
+        """Read-only view of the replication state: the newest record
+        per advertiser, in name order, derived from the repository and
+        the tombstones."""
+        return {agent: self._record_of(agent)
+                for agent, _at, _seq, _deleted in self._digest_entries()}
 
     def _pull_directory(self, result: HandlerResult, now: float) -> None:
         """Section 4.1: "The new broker may also query the other brokers it
@@ -471,8 +487,7 @@ class BrokerAgent(Agent):
             ad = match.advertisement
             if ad.is_broker() and ad.agent_name != self.name:
                 if not self.repository.knows(ad.agent_name):
-                    self.repository.advertise(ad)
-                    self._note_advertise(ad)
+                    self._accept(ad)
                     if ad.agent_name not in self.peer_brokers:
                         self.peer_brokers.append(ad.agent_name)
 
@@ -487,9 +502,7 @@ class BrokerAgent(Agent):
         result.cost_seconds += self.cost_model.base_handling_seconds
 
         if self._accepts(ad):
-            stored = ad.renewed(now)
-            self.repository.advertise(stored)
-            self._note_advertise(stored)
+            self._accept(ad.renewed(now))
             self.observer.inc("broker.advertise.count", outcome="accepted")
             result.send(
                 message.reply(Performative.TELL, content="accepted",
@@ -553,9 +566,8 @@ class BrokerAgent(Agent):
             result.send(original.reply(Performative.SORRY, content="no broker accepted"))
 
     def on_unadvertise(self, message: KqmlMessage, result: HandlerResult, now: float) -> None:
-        removed = self.repository.unadvertise(str(message.content))
+        removed = self._withdraw(str(message.content), now)
         if removed:
-            self._note_unadvertise(str(message.content), now)
             self.observer.inc("broker.unadvertise.count")
         if message.expects_reply() or message.reply_with:
             performative = Performative.TELL if removed else Performative.SORRY
@@ -578,12 +590,6 @@ class BrokerAgent(Agent):
             if self.sync_interval:
                 self._sync_round(result, now)
                 result.arm(self.sync_interval, _SYNC_TIMER, maintenance=True)
-        elif token == _COMPACT_TIMER:
-            if self.journal is not None and self.journal_compact_interval:
-                self.journal.compact()
-                result.arm(
-                    self.journal_compact_interval, _COMPACT_TIMER, maintenance=True
-                )
         elif isinstance(token, tuple) and token and token[0] == "breaker-probe":
             if self.breaker_config is not None:
                 self._probe_peer(token[1], result, now)
@@ -608,8 +614,7 @@ class BrokerAgent(Agent):
         self, agent_name: str, reply: Optional[KqmlMessage], result: HandlerResult
     ) -> None:
         if reply is None:
-            if self.repository.unadvertise(agent_name):
-                self._note_unadvertise(agent_name, self.bus.now)
+            self._withdraw(agent_name, self.bus.now)
 
     # ------------------------------------------------------------------
     # matchmaking (recommend-all / recommend-one)

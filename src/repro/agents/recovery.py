@@ -6,7 +6,7 @@ Two recovery paths beyond "wait for agents to re-advertise":
   write-ahead log of advertise/unadvertise records.  Each record is one
   s-expression line (see :mod:`repro.core.advertisement` for the
   advertisement codec), so an optionally file-backed journal is both
-  durable and human-readable.  Periodic :meth:`compaction
+  durable and human-readable.  :meth:`compaction
   <AdvertisementJournal.compact>` keeps only the newest record per
   advertiser.  On restart a broker replays the journal to rebuild its
   repository before accepting traffic.

@@ -723,9 +723,12 @@ def _run_bench(bench_dir: str, out: Optional[str], check: bool,
         return 2
     report = obs.build_report(bench_dir)
     print(obs.format_report(report))
-    out_path = out or os.path.join(bench_dir, "BENCH_report.json")
-    obs.write_report(report, out_path)
-    print(f"\n[report written to {out_path}]")
+    # A check compares in memory: it leaves the committed report alone
+    # unless --out names a place for it.
+    if out or not check:
+        out_path = out or os.path.join(bench_dir, "BENCH_report.json")
+        obs.write_report(report, out_path)
+        print(f"\n[report written to {out_path}]")
     if write_baseline:
         obs.write_report(report, baseline_path)
         print(f"[baseline written to {baseline_path}]")
@@ -877,7 +880,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--out", metavar="PATH", default=None,
         help="for 'bench': where to write the unified report "
-             "(default: <bench-dir>/BENCH_report.json)",
+             "(default: <bench-dir>/BENCH_report.json; with --check, "
+             "written only when given)",
     )
     parser.add_argument(
         "--check", action="store_true",

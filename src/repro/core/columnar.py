@@ -328,8 +328,7 @@ class ColumnarPlane:
     time; :meth:`match` / :meth:`match_batch` answer queries.  The plane
     holds advertisement *names* plus columns — never the advertisements
     themselves; survivors are materialized through the ``fetch``
-    callable, so a storage-backed repository (:mod:`repro.core.store`)
-    keeps ads off-heap.
+    callable (the repository's own agent lookup).
     """
 
     def __init__(self, fetch: Callable[[str], Advertisement]):

@@ -40,20 +40,17 @@ one-shot :class:`~repro.core.datalog_matcher.DatalogMatcher`, the
 declarative specification of a match.  The tests hold ``query`` to both
 over ``agent_ads()``.
 
-Storage is pluggable: the default :class:`MemoryAdStore` keeps
-advertisements resident in dicts; :class:`repro.core.store.SQLiteAdStore`
-keeps them in a SQLite database via the lossless s-expression codec and
-only materializes the advertisements a query returns.  A repository
-opened over a populated store loads its engine from it.
+Advertisements are held once, in two plain dicts (agents and
+brokers); the plane keeps names and columns and fetches the
+advertisements a query returns from the agent dict.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict, deque
-from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
 from itertools import islice
-from typing import Deque, Dict, FrozenSet, Iterator, List, Optional, Tuple
+from typing import Deque, Dict, FrozenSet, List, Optional, Tuple
 
 from repro.core.advertisement import Advertisement
 from repro.core.columnar import ColumnarPlane
@@ -86,105 +83,26 @@ class RepositoryStats:
     cache_misses: int = 0
 
 
-class MemoryAdStore:
-    """Resident advertisement storage: plain dicts, the default.
-
-    The storage interface the repository programs against: ``get`` /
-    ``pop`` / ``put`` per agent-vs-broker store, deterministic
-    iteration, counters, and a :meth:`bulk` context manager that
-    persistent backends turn into one transaction.
-    """
-
-    kind = "memory"
-
-    def __init__(self):
-        self._agents: Dict[str, Advertisement] = {}
-        self._brokers: Dict[str, Advertisement] = {}
-        #: Memoised :meth:`size_mb`; None once a put / pop has moved it.
-        self._size_mb: Optional[float] = None
-
-    def clone_empty(self) -> "MemoryAdStore":
-        return MemoryAdStore()
-
-    # -- agents ---------------------------------------------------------
-    def get_agent(self, name: str) -> Optional[Advertisement]:
-        return self._agents.get(name)
-
-    def pop_agent(self, name: str) -> Optional[Advertisement]:
-        self._size_mb = None
-        return self._agents.pop(name, None)
-
-    def put_agent(self, ad: Advertisement) -> None:
-        self._size_mb = None
-        self._agents[ad.agent_name] = ad
-
-    def agent_names(self) -> List[str]:
-        return sorted(self._agents)
-
-    def iter_agents(self) -> Iterator[Advertisement]:
-        """Stored agent advertisements, oldest insertion first."""
-        return iter(list(self._agents.values()))
-
-    @property
-    def agent_count(self) -> int:
-        return len(self._agents)
-
-    # -- brokers --------------------------------------------------------
-    def get_broker(self, name: str) -> Optional[Advertisement]:
-        return self._brokers.get(name)
-
-    def pop_broker(self, name: str) -> Optional[Advertisement]:
-        self._size_mb = None
-        return self._brokers.pop(name, None)
-
-    def put_broker(self, ad: Advertisement) -> None:
-        self._size_mb = None
-        self._brokers[ad.agent_name] = ad
-
-    def broker_names(self) -> List[str]:
-        return sorted(self._brokers)
-
-    def iter_brokers(self) -> Iterator[Advertisement]:
-        return iter(list(self._brokers.values()))
-
-    @property
-    def broker_count(self) -> int:
-        return len(self._brokers)
-
-    # -- bookkeeping ----------------------------------------------------
-    def size_mb(self) -> float:
-        # Always the whole sum, never a running add / subtract: the
-        # float must not depend on the order the ads came and went in.
-        if self._size_mb is None:
-            self._size_mb = sum(ad.size_mb for ad in self._agents.values()) + sum(
-                ad.size_mb for ad in self._brokers.values()
-            )
-        return self._size_mb
-
-    def bulk(self):
-        """Batch many mutations; a no-op for resident storage."""
-        return nullcontext()
-
-
 class BrokerRepository:
     """Advertisement storage and local matchmaking for one broker.
 
     ``match_cache_size`` bounds the fingerprint-keyed match cache and
-    the write log it is validated against (0 disables both).  ``store``
-    plugs in the advertisement storage backend (default resident
-    :class:`MemoryAdStore`); advertisements it already holds are loaded
-    into the plane.
+    the write log it is validated against (0 disables both).
     """
 
     def __init__(
         self,
         context: Optional[MatchContext] = None,
         match_cache_size: int = DEFAULT_MATCH_CACHE_SIZE,
-        store=None,
     ):
         if match_cache_size < 0:
             raise BrokeringError("match_cache_size must be >= 0")
-        self._store = store if store is not None else MemoryAdStore()
+        #: The stored advertisements, oldest insertion first; a name is
+        #: in at most one of the two.
+        self._agents: Dict[str, Advertisement] = {}
+        self._brokers: Dict[str, Advertisement] = {}
+        #: Memoised :meth:`size_mb`; None once a write has moved it.
+        self._size_mb: Optional[float] = None
         self.context = context or MatchContext()
         self.match_cache_size = match_cache_size
         #: Bumped on every repository mutation *and* whenever the shared
@@ -203,27 +121,16 @@ class BrokerRepository:
         self._match_cache: (
             "OrderedDict[tuple, Tuple[int, Tuple[Match, ...], FrozenSet[str]]]"
         ) = OrderedDict()
-        #: The engine's own view of the stored agent advertisements —
-        #: loaded from the store here, kept in step by :meth:`_reindex`.
-        self._plane = ColumnarPlane.compile(
-            self._store.iter_agents(), self._fetch_agent
-        )
+        #: The engine's own view of the stored agent advertisements,
+        #: kept in step by :meth:`_reindex`.
+        self._plane = ColumnarPlane(self._agents.__getitem__)
         self.stats = RepositoryStats()
-
-    @property
-    def store(self):
-        """The advertisement storage backend (read-mostly access)."""
-        return self._store
 
     def clone_empty(self) -> "BrokerRepository":
         """A fresh, empty repository with the same configuration — what a
         strict crash leaves behind (the match context is shared ontology
         knowledge, not volatile broker state)."""
-        return BrokerRepository(
-            self.context,
-            match_cache_size=self.match_cache_size,
-            store=self._store.clone_empty(),
-        )
+        return BrokerRepository(self.context, match_cache_size=self.match_cache_size)
 
     # ------------------------------------------------------------------
     # generation stamping
@@ -276,27 +183,29 @@ class BrokerRepository:
         A re-advertisement fully replaces the previous one — including
         across the agent/broker boundary, so an agent that starts
         advertising broker capabilities (or vice versa) never leaves a
-        stale entry in the other store or the engine's index.
+        stale entry in the other dict or the engine's index.
         """
         name = ad.agent_name
-        previous = self._store.pop_agent(name)
-        self._store.pop_broker(name)
+        previous = self._agents.pop(name, None)
+        self._brokers.pop(name, None)
+        self._size_mb = None
         if ad.is_broker():
-            self._store.put_broker(ad)
+            self._brokers[name] = ad
             self._reindex(previous, None)
         else:
-            self._store.put_agent(ad)
+            self._agents[name] = ad
             self._reindex(previous, ad)
         self._bump_generation()
         self.stats.advertisements_accepted += 1
 
     def unadvertise(self, agent_name: str) -> bool:
         """Remove an agent's advertisement; True when one was present."""
-        previous = self._store.pop_agent(agent_name)
+        previous = self._agents.pop(agent_name, None)
         if previous is not None:
             self._reindex(previous, None)
-        elif self._store.pop_broker(agent_name) is None:
+        elif self._brokers.pop(agent_name, None) is None:
             return False
+        self._size_mb = None
         self._bump_generation()
         self.stats.advertisements_removed += 1
         return True
@@ -327,25 +236,16 @@ class BrokerRepository:
             if PROFILER.enabled:
                 PROFILER.end("match.columnar.build")
 
-    @contextmanager
-    def bulk(self):
-        """Group many advertise/unadvertise calls into one storage
-        transaction.  Journal replay uses this so a persistent backend
-        turns a thousand journal lines into one bulk ``INSERT`` instead
-        of a thousand commits; resident storage treats it as a no-op."""
-        with self._store.bulk():
-            yield self
-
     def knows(self, agent_name: str) -> bool:
-        return (
-            self._store.get_agent(agent_name) is not None
-            or self._store.get_broker(agent_name) is not None
-        )
+        return agent_name in self._agents or agent_name in self._brokers
+
+    def find(self, agent_name: str) -> Optional[Advertisement]:
+        """The stored advertisement of *agent_name*, or None."""
+        ad = self._agents.get(agent_name)
+        return ad if ad is not None else self._brokers.get(agent_name)
 
     def get(self, agent_name: str) -> Advertisement:
-        ad = self._store.get_agent(agent_name)
-        if ad is None:
-            ad = self._store.get_broker(agent_name)
+        ad = self.find(agent_name)
         if ad is None:
             raise BrokeringError(f"no advertisement for agent {agent_name!r}")
         return ad
@@ -354,24 +254,35 @@ class BrokerRepository:
     # inspection
     # ------------------------------------------------------------------
     def agent_names(self) -> List[str]:
-        return self._store.agent_names()
+        return sorted(self._agents)
 
     def broker_names(self) -> List[str]:
-        return self._store.broker_names()
+        return sorted(self._brokers)
 
     def agent_ads(self) -> List[Advertisement]:
-        return list(self._store.iter_agents())
+        """Stored agent advertisements, oldest insertion first."""
+        return list(self._agents.values())
 
     def broker_ads(self) -> List[Advertisement]:
-        return list(self._store.iter_brokers())
+        return list(self._brokers.values())
 
     @property
     def agent_count(self) -> int:
-        return self._store.agent_count
+        return len(self._agents)
+
+    @property
+    def broker_count(self) -> int:
+        return len(self._brokers)
 
     def size_mb(self) -> float:
         """Total stored advertisement volume (agents + brokers)."""
-        return self._store.size_mb()
+        # Always the whole sum, never a running add / subtract: the
+        # float must not depend on the order the ads came and went in.
+        if self._size_mb is None:
+            self._size_mb = sum(ad.size_mb for ad in self._agents.values()) + sum(
+                ad.size_mb for ad in self._brokers.values()
+            )
+        return self._size_mb
 
     # ------------------------------------------------------------------
     # matchmaking
@@ -491,7 +402,7 @@ class BrokerRepository:
     def _match(self, queries: List[BrokerQuery], observer) -> List[List[Match]]:
         """Answer cache misses in one vectorized pass over the plane."""
         stats = MatchStats() if observer is not None else None
-        stored = self._store.agent_count
+        stored = len(self._agents)
         if PROFILER.enabled:
             PROFILER.begin("match.columnar.sweep")
         try:
@@ -507,12 +418,6 @@ class BrokerRepository:
         if observer is not None:
             self._observe_match_stats(observer, stats)
         return [matches for matches, _candidates in answered]
-
-    def _fetch_agent(self, name: str) -> Advertisement:
-        ad = self._store.get_agent(name)
-        if ad is None:  # unreachable while _reindex tracks the store
-            raise BrokeringError(f"no advertisement for agent {name!r}")
-        return ad
 
     @staticmethod
     def _observe_match_stats(observer, stats: MatchStats) -> None:
@@ -533,7 +438,7 @@ class BrokerRepository:
         design; it is only reachable when the caller opted into
         explanation.
         """
-        candidates = list(self._store.iter_agents())
+        candidates = list(self._agents.values())
         self.stats.advertisements_reasoned_over += len(candidates)
         stats = MatchStats()
         matches = match_advertisements(
@@ -548,6 +453,6 @@ class BrokerRepository:
         """Match *query* against stored *broker* advertisements (used to
         prune the inter-broker search).  Broker-directory reasoning is
         never part of an agent-matchmaking explain trail."""
-        self.stats.advertisements_reasoned_over += self._store.broker_count
-        return match_advertisements(query, self._store.iter_brokers(),
+        self.stats.advertisements_reasoned_over += len(self._brokers)
+        return match_advertisements(query, self._brokers.values(),
                                     self.context, explain=None)

@@ -129,13 +129,6 @@ class SimConfig:
     #: this interval (seconds).
     broker_sync_interval: Optional[float] = None
 
-    # --- repository storage -------------------------------------------------
-    #: When set, broker repositories store advertisements in SQLite at
-    #: this path (``":memory:"`` for per-broker in-memory databases)
-    #: instead of resident dicts.  Brokers suffix the path with their
-    #: name so they do not share one database file.
-    broker_store: Optional[str] = None
-
     # --- overload protection (all off by default: unbounded, no
     # --- deadlines, no limits — byte-identical to the legacy behaviour)
     #: Bound every agent's regular-traffic mailbox to this many

@@ -171,12 +171,6 @@ class Simulation:
                     name,
                     peer_brokers=peers,
                     max_hop_count=config.hop_count,
-                    repository_store=(
-                        None if config.broker_store is None
-                        else config.broker_store
-                        if config.broker_store == ":memory:"
-                        else f"{config.broker_store}.{name}"
-                    ),
                     breaker=breaker,
                     journal=(
                         AdvertisementJournal() if config.broker_journal else None

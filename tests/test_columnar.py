@@ -1,10 +1,8 @@
-"""Property tests for the columnar matchmaking plane and SQLite store.
+"""Property tests for the columnar matchmaking plane.
 
 The columnar engine answers queries with bitset posting-list
 intersections, vectorized interval sweeps and compiled residual
-checkers; the SQLite store keeps advertisements out of Python memory
-behind the same repository interface.  Both must be *invisible* in the
-results:
+checkers.  It must be *invisible* in the results:
 
 * compiled per-domain overlap checkers agree with ``overlaps_domains``
   and compiled constraint checkers with ``Constraint.overlaps``
@@ -16,11 +14,7 @@ results:
   scan and Datalog oracles — with constraint pools exercising open/unbounded
   intervals, point queries that empty the posting sets, and both the
   simple-interval-array and grouped-checker regimes;
-* ``query_batch`` equals per-query answers, cached and uncached;
-* a SQLite-backed repository answers byte-identically to the in-memory
-  one on seeds 0-2, survives a codec round-trip, a journal replay into
-  a SQLite store reproduces the original repository, and a repository
-  reopened over a populated database answers from it.
+* ``query_batch`` equals per-query answers, cached and uncached.
 """
 
 import random
@@ -50,7 +44,6 @@ from repro.core import (
 )
 from repro.core import columnar
 from repro.core.columnar import ColumnarPlane, _SlotColumn
-from repro.core.store import SQLiteAdStore
 from tests.test_matchmaking_equivalence import (
     ONTOLOGY_NAMES,
     assert_agrees_with_oracles,
@@ -408,124 +401,3 @@ def test_plane_posting_prefix_sharing():
     for query, (matches, _candidates) in zip((q1, q2), batched):
         solo, _ = plane.match(query, context)
         assert ranked(matches) == ranked(solo)
-
-
-# ----------------------------------------------------------------------
-# SQLite store
-# ----------------------------------------------------------------------
-
-@pytest.mark.parametrize("seed", [0, 1, 2])
-def test_sqlite_repository_matches_memory_byte_identically(seed):
-    rng = random.Random(seed)
-    ontologies = {name: random_ontology(rng, name) for name in ONTOLOGY_NAMES}
-    context = MatchContext(
-        ontologies={name: pair[0] for name, pair in ontologies.items()}
-    )
-    memory = BrokerRepository(context)
-    sqlite = BrokerRepository(context, store=SQLiteAdStore())
-    ads = [edge_ad(rng, f"agent-{i}", ontologies) for i in range(22)]
-    for ad in ads:
-        memory.advertise(ad)
-        sqlite.advertise(ad)
-    assert sqlite.agent_names() == memory.agent_names()
-    assert sqlite.size_mb() == pytest.approx(memory.size_mb())
-    for query in [edge_query(rng, ontologies) for _ in range(12)]:
-        expected = memory.query(query)
-        got = sqlite.query(query)
-        # Byte-identical: same agents, same exact float scores, same
-        # covered slots, and the decoded advertisements round-trip the
-        # codec losslessly.
-        assert ranked(got) == ranked(expected)
-        assert [m.score for m in got] == [m.score for m in expected]
-        assert [m.advertisement for m in got] == [m.advertisement for m in expected]
-
-
-def test_sqlite_store_roundtrip_and_churn():
-    from tests.test_core_matcher import make_ad
-
-    store = SQLiteAdStore(decode_cache_size=2)  # force re-decodes
-    repo = BrokerRepository(store=store)
-    ads = [
-        make_ad(f"a{i}", ontology="healthcare",
-                constraints=f"age between {i} and {i + 10}")
-        for i in range(6)
-    ]
-    for ad in ads:
-        repo.advertise(ad)
-    assert store.agent_count == 6
-    assert repo.get("a3") == ads[3]
-    assert repo.unadvertise("a3")
-    assert not repo.knows("a3")
-    assert store.agent_count == 5
-    # Re-advertising across the agent/broker boundary keeps one row.
-    repo.advertise(ads[0])
-    assert store.agent_count == 5
-    assert [ad.agent_name for ad in store.iter_agents()] == [
-        "a1", "a2", "a4", "a5", "a0"
-    ]
-
-
-def test_sqlite_journal_replay_is_one_transaction(tmp_path):
-    """Replaying an advertisement journal into a SQLite-backed broker
-    reproduces the original repository, inside a single bulk
-    transaction."""
-    from repro.agents.recovery import AdvertisementJournal
-    from tests.test_core_matcher import make_ad
-
-    journal = AdvertisementJournal()
-    source = BrokerRepository()
-    records = [
-        make_ad(f"a{i}", ontology="healthcare",
-                constraints=f"cost between {100 * i} and {100 * i + 50}")
-        for i in range(8)
-    ]
-    for ad in records:
-        source.advertise(ad)
-        journal.record_advertise(ad)
-
-    target = BrokerRepository(store=SQLiteAdStore(str(tmp_path / "ads.db")))
-    with target.bulk():
-        for record in journal.replay():
-            target.advertise(record.ad)
-    assert target.agent_names() == source.agent_names()
-    query = BrokerQuery(ontology_name="healthcare",
-                        constraints=parse_constraint("cost < 160"))
-    assert ranked(target.query(query)) == ranked(source.query(query))
-
-
-def test_sqlite_clone_empty_forgets():
-    repo = BrokerRepository(store=SQLiteAdStore())
-    from tests.test_core_matcher import make_ad
-
-    repo.advertise(make_ad("a0", ontology="healthcare"))
-    clone = repo.clone_empty()
-    assert clone.agent_count == 0
-    assert clone.store.kind == "sqlite"
-    assert clone.query(BrokerQuery()) == []
-    # the original is untouched
-    assert repo.agent_count == 1
-
-
-def test_repository_reopened_over_populated_store_answers(tmp_path):
-    """Regression: the plane is loaded from the store at
-    construction, so a broker restarted over its database finds what an
-    earlier process wrote — and can withdraw it."""
-    from tests.test_core_matcher import make_ad
-
-    path = str(tmp_path / "ads.db")
-    store = SQLiteAdStore(path)
-    writer = BrokerRepository(store=store)
-    writer.advertise(make_ad("kept", ontology="healthcare",
-                             constraints="age between 20 and 60"))
-    writer.advertise(make_ad("dropped", ontology="healthcare"))
-    store.close()
-
-    reopened = BrokerRepository(store=SQLiteAdStore(path))
-    assert reopened.agent_count == 2
-    query = BrokerQuery(ontology_name="healthcare",
-                        constraints=parse_constraint("age > 50"))
-    assert sorted(m.agent_name for m in reopened.query(query)) == [
-        "dropped", "kept"]
-    assert reopened.unadvertise("dropped")
-    assert [m.agent_name for m in reopened.query(query)] == ["kept"]
-    reopened.store.close()

@@ -309,7 +309,19 @@ def test_obs_package_imports_only_the_observer_interface():
     }
 
 
-@pytest.mark.parametrize("package", ["repro.core", "repro.obs", "repro.experiments"])
+def test_bus_imports_without_the_agents_or_the_matchmaking_core():
+    assert loaded_modules("from repro.agents.bus import MessageBus") == {
+        "repro", "repro._lazy",
+        "repro.agents", "repro.agents.bus", "repro.agents.costs",
+        "repro.agents.errors",
+        "repro.kqml", "repro.kqml.errors", "repro.kqml.message",
+        "repro.kqml.performatives", "repro.kqml.sexpr",
+        "repro.obs", "repro.obs.events", "repro.obs.metrics", "repro.obs.profiler",
+    }
+
+
+@pytest.mark.parametrize(
+    "package", ["repro.core", "repro.obs", "repro.experiments", "repro.agents"])
 def test_lazy_reexports_resolve_every_name(package):
     module = importlib.import_module(package)
     assert all(getattr(module, name) is not None for name in module.__all__)

@@ -667,12 +667,15 @@ class TestCli:
         assert cli.main(base + ["--write-baseline"]) == 0
         assert (bench_dir / "BENCH_report.json").exists()
         assert (bench_dir / "BENCH_baseline.json").exists()
+        report = (bench_dir / "BENCH_report.json").read_bytes()
         assert cli.main(base + ["--check"]) == 0
         # Inject a synthetic regression: retention collapses.
         artifact.write_text(json.dumps(
             _telemetry_artifact(failed_retention=0.4)))
         assert cli.main(base + ["--check"]) == 1
         assert "telemetry.failed_retention" in capsys.readouterr().out
+        # The gate compared in memory: the report on disk is untouched.
+        assert (bench_dir / "BENCH_report.json").read_bytes() == report
 
     def test_bench_check_without_baseline_is_an_error(self, tmp_path):
         bench_dir = tmp_path / "empty"
