@@ -252,6 +252,23 @@ class Agent:
         self._reply_cache.clear()
         self._retry_rng = random.Random(f"retry:{self.name}")
 
+    def _pick_broker(self) -> Optional[str]:
+        """The broker this agent asks first: the head of its connected
+        brokers, else of the brokers it knows of."""
+        if self.connected_broker_list:
+            return self.connected_broker_list[0]
+        if self.known_broker_list:
+            return self.known_broker_list[0]
+        return None
+
+    def _next_broker(self, tried: Tuple[str, ...]) -> Optional[str]:
+        """The first connected-then-known broker not in *tried* (the
+        failover target after a broker died or refused)."""
+        for name in (*self.connected_broker_list, *self.known_broker_list):
+            if name not in tried:
+                return name
+        return None
+
     def _advertise_round(
         self, result: HandlerResult, now: float,
         exclude: Tuple[str, ...] = (),

@@ -17,18 +17,22 @@ holds every predicate column; otherwise the MRQ fetches the needed
 columns and filters after assembly, so fragmented predicates still
 evaluate correctly.
 
-Resilient execution (opt-in via :class:`MrqResilienceConfig`) splits the
-fan-out into a *planner* that groups recommended resources into
-equivalence sets per query fragment — same rewritten sub-query, same
-advertised constraints, optionally confirmed by the broker's
-``equivalence`` hint — and an *executor* that sends each fragment to the
-best-scored provider, fails over to the next-ranked one on timeout /
-``sorry`` / overload shed, and optionally hedges stragglers with a
-duplicate sub-query to the runner-up (first reply wins).  Per-provider
-health (latency EWMA, failure streaks, breaker state) persists across
-queries.  Whatever the mode, answers assembled with fragments missing
-carry a ``:partial`` annotation with machine-readable detail instead of
-masquerading as complete.
+Every query runs through one executor.  A *planner* turns the broker's
+recommendations into query fragments — a rewritten sub-query plus the
+providers that can answer it — and the executor sends each fragment,
+collects the replies and assembles the answer.  On the paper's flow (no
+active :class:`MrqResilienceConfig`) every usable match is a fragment of
+its own, so each recommended resource is queried once.  With an active
+config the planner groups interchangeable resources into equivalence
+sets — same rewritten sub-query, same advertised constraints, optionally
+confirmed by the broker's ``equivalence`` hint — and the executor sends
+each fragment to the best-scored provider, fails over to the next-ranked
+one on timeout / ``sorry`` / overload shed, and optionally hedges
+stragglers with a duplicate sub-query to the runner-up (first reply
+wins).  Per-provider health (latency EWMA, failure streaks, breaker
+state) persists across queries.  Whatever the mode, answers assembled
+with fragments missing carry a ``:partial`` annotation with
+machine-readable detail instead of masquerading as complete.
 """
 
 from __future__ import annotations
@@ -36,7 +40,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Deque, Dict, List, Optional, Sequence, Tuple
+from typing import Deque, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.agents.base import Agent, AgentConfig, HandlerResult
 from repro.agents.broker import RecommendRequest
@@ -70,11 +74,12 @@ from repro.sql.render import render_select
 
 @dataclass(frozen=True)
 class MrqResilienceConfig:
-    """Opt-in resilient execution knobs (ZBroker-style server selection).
+    """Resilient execution knobs (ZBroker-style server selection).
 
-    The default-constructed config enables failover only; a ``None``
-    resilience config on the agent (the default) keeps the legacy
-    query-every-match fan-out byte-identical to previous behaviour.
+    The default-constructed config enables failover only.  With no
+    config on the agent (the default), or one with failover and hedging
+    both off, the planner makes one single-provider fragment per match:
+    the paper's query-every-match flow.
     """
 
     #: Send each fragment to the best provider and retry the next-ranked
@@ -119,6 +124,8 @@ class MrqResilienceConfig:
             raise AgentError("breaker/hedge delays must be positive")
         if not 0.0 < self.hedge_quantile <= 1.0:
             raise AgentError("hedge_quantile must be in (0, 1]")
+        if self.hedge_min_samples < 1:
+            raise AgentError("hedge_min_samples must be >= 1")
 
     @property
     def active(self) -> bool:
@@ -181,34 +188,19 @@ class ProviderHealth:
         return base * (cfg.failure_penalty ** min(self.consecutive_failures, 6))
 
 
-@dataclass
-class _Plan:
-    """In-flight state of one decomposed user query (legacy fan-out)."""
-
-    original: KqmlMessage
-    select: Select
-    ontology: Optional[Ontology] = None
-    pushed_down: Dict[str, bool] = field(default_factory=dict)
-    results: List[Tuple[str, QueryResult]] = field(default_factory=list)
-    outstanding: int = 0
-    failures: List[Tuple[str, str]] = field(default_factory=list)
-    fragment_ids: Dict[str, str] = field(default_factory=dict)
-    brokers_tried: Tuple[str, ...] = ()
-
-
-@dataclass
+@dataclass(slots=True)
 class _Fragment:
-    """One equivalence set: a rewritten sub-query plus the interchangeable
-    providers that can answer it (broker-rank order preserved)."""
+    """A rewritten sub-query plus the interchangeable providers that can
+    answer it (broker-rank order preserved): one match on the paper's
+    flow, an equivalence set under an active resilience config."""
 
     fragment_id: str
-    sub_select: Select
     rendered: str
     providers: List[str]
     pushed_down: bool
 
 
-@dataclass
+@dataclass(slots=True)
 class _FragmentRun:
     """Executor state for one fragment of one query."""
 
@@ -228,15 +220,23 @@ class _FragmentRun:
         return self.winner is not None or self.exhausted
 
 
-@dataclass
+@dataclass(slots=True)
 class _Execution:
-    """One resilient query execution across its fragments."""
+    """One user query from its recommend to its reply: what was asked
+    and of which brokers, then one run per planned fragment."""
 
-    exec_id: int
     original: KqmlMessage
     select: Select
     ontology: Optional[Ontology]
-    runs: List[_FragmentRun]
+    brokers_tried: Tuple[str, ...]
+    #: The active resilience config; None runs the paper's flow.
+    cfg: Optional[MrqResilienceConfig] = None
+    exec_id: int = 0
+    runs: List[_FragmentRun] = field(default_factory=list)
+    #: Runs still waiting for an answer or for their last provider.
+    running: int = 0
+    #: Runs in the order their answers arrived.
+    answered: List[_FragmentRun] = field(default_factory=list)
 
 
 class MultiResourceQueryAgent(Agent):
@@ -273,7 +273,7 @@ class MultiResourceQueryAgent(Agent):
         self.ontology_retry_interval = ontology_retry_interval
         self.ontologies_fetched = 0
         self.queries_processed = 0
-        #: None = legacy query-every-match fan-out (byte-identical).
+        #: None (or inactive) = the paper's query-every-match flow.
         self.resilience = resilience
         #: Resource name -> observed health, persisted across queries.
         self.provider_health: Dict[str, ProviderHealth] = {}
@@ -427,7 +427,10 @@ class MultiResourceQueryAgent(Agent):
             # Thread the requester's remaining budget through the
             # decomposition: the broker (and the bus) shed dead work.
             recommend_extras["x-deadline"] = deadline
-        if self.resilience is not None and self.resilience.active:
+        cfg = self.resilience
+        if cfg is not None and not cfg.active:
+            cfg = None  # failover and hedging both off: the paper's flow
+        if cfg is not None:
             # Ask the broker to annotate which matches are interchangeable.
             recommend_extras["x-equivalence"] = "1"
         recommend = KqmlMessage(
@@ -438,106 +441,79 @@ class MultiResourceQueryAgent(Agent):
             ontology="service",
             extras=recommend_extras,
         )
-        plan = _Plan(original=message, select=select, ontology=ontology,
-                     brokers_tried=(*brokers_tried, broker))
+        execution = _Execution(original=message, select=select,
+                               ontology=ontology,
+                               brokers_tried=(*brokers_tried, broker), cfg=cfg)
         self.ask(
             recommend,
-            lambda reply, res, plan=plan: self._resources_found(plan, reply, res),
+            lambda reply, res, e=execution: self._resources_found(e, reply, res),
             result,
         )
 
-    def _pick_broker(self) -> Optional[str]:
-        if self.connected_broker_list:
-            return self.connected_broker_list[0]
-        if self.known_broker_list:
-            return self.known_broker_list[0]
-        return None
-
-    def _next_broker(self, tried: Tuple[str, ...]) -> Optional[str]:
-        for name in (*self.connected_broker_list, *self.known_broker_list):
-            if name not in tried:
-                return name
-        return None
-
-    # ------------------------------------------------------------------
-    # fan-out
-    # ------------------------------------------------------------------
     def _resources_found(
-        self, plan: _Plan, reply: Optional[KqmlMessage], result: HandlerResult
+        self, execution: _Execution, reply: Optional[KqmlMessage],
+        result: HandlerResult,
     ) -> None:
         if reply is None or reply.performative is not Performative.TELL:
             # The broker died or refused: fail over to the next known
             # broker instead of treating one broker as a single point of
             # failure.  An empty *match list* from a live broker is a
             # semantic answer and is not retried.
-            next_broker = self._next_broker(plan.brokers_tried)
+            next_broker = self._next_broker(execution.brokers_tried)
             if next_broker is not None:
                 obs = self.observer
                 if obs.enabled:
                     obs.inc("mrq.broker_failover.count")
-                    obs.annotate(self.bus.now, plan.original, "mrq-broker-failover",
-                                 failed=plan.brokers_tried[-1], next=next_broker)
-                self._dispatch_query(plan.original, plan.select, next_broker,
-                                     result, brokers_tried=plan.brokers_tried)
+                    obs.annotate(self.bus.now, execution.original,
+                                 "mrq-broker-failover",
+                                 failed=execution.brokers_tried[-1],
+                                 next=next_broker)
+                self._dispatch_query(execution.original, execution.select,
+                                     next_broker, result,
+                                     brokers_tried=execution.brokers_tried)
                 return
             # Every known broker timed out or refused: a transport
             # failure, not the semantic answer "nothing matches".
-            result.send(plan.original.reply(
+            result.send(execution.original.reply(
                 Performative.SORRY, content="no broker reachable",
                 reason="broker-unreachable",
             ))
             return
         matches: List[Match] = list(reply.content)
         if not matches:
-            result.send(
-                plan.original.reply(Performative.SORRY, content="no matching resources")
-            )
+            result.send(execution.original.reply(
+                Performative.SORRY, content="no matching resources"))
             return
-
-        if self.resilience is not None and self.resilience.active:
-            self._execute_resilient(plan, matches, reply, result)
+        fragments = self._plan_fragments(
+            execution, matches, _parse_equivalence(reply.extra("equivalence")))
+        if not fragments:
+            result.send(execution.original.reply(
+                Performative.SORRY, content="no usable resources"))
             return
-
-        sent = 0
-        for match in matches:
-            sub_select = self._rewrite_for(match, plan.select, plan.ontology)
-            if sub_select is None:
-                continue
-            plan.pushed_down[match.agent_name] = sub_select.where is not None
-            plan.fragment_ids[match.agent_name] = _fragment_label(sub_select)
-            ask_extras = {
-                "complexity": plan.original.extra("complexity", 1.0),
-            }
-            deadline = plan.original.extra("x-deadline")
-            if deadline is not None:
-                ask_extras["x-deadline"] = deadline
-            ask = KqmlMessage(
-                Performative.ASK_ALL,
-                sender=self.name,
-                receiver=match.agent_name,
-                content=render_select(sub_select),
-                language="SQL 2.0",
-                extras=ask_extras,
-            )
-            self.ask(
-                ask,
-                lambda r, res, plan=plan, name=match.agent_name: self._collect(
-                    plan, name, r, res
-                ),
-                result,
-            )
-            sent += 1
-        if sent == 0:
-            result.send(
-                plan.original.reply(Performative.SORRY, content="no usable resources")
-            )
-            return
-        plan.outstanding = sent
+        self._exec_counter += 1
+        execution.exec_id = self._exec_counter
+        execution.runs = [_FragmentRun(fragment=f, started=self.bus.now)
+                          for f in fragments]
+        execution.running = len(fragments)
+        self._executions[execution.exec_id] = execution
+        cfg = execution.cfg
         obs = self.observer
         if obs.enabled:
-            obs.observe("mrq.fanout", float(sent))
-            obs.annotate(self.bus.now, plan.original, "mrq-fanout",
-                         resources=sent, recommended=len(matches))
+            obs.observe("mrq.fanout", float(len(fragments)))
+            mode = {"resilient": True} if cfg is not None else {}
+            obs.annotate(self.bus.now, execution.original, "mrq-fanout",
+                         resources=len(fragments), recommended=len(matches),
+                         **mode)
+        for index, run in enumerate(execution.runs):
+            self._send_fragment(execution, index, result)
+            if (
+                cfg is not None
+                and cfg.hedge
+                and not run.done
+                and len(run.fragment.providers) > 1
+            ):
+                result.arm(self._hedge_delay(),
+                           ("mrq-hedge", execution.exec_id, index))
 
     def _rewrite_for(
         self, match: Match, select: Select, ontology: Optional[Ontology]
@@ -597,96 +573,66 @@ class MultiResourceQueryAgent(Agent):
         return needed
 
     # ------------------------------------------------------------------
-    # resilient execution: planner
+    # planner
     # ------------------------------------------------------------------
     def _plan_fragments(
         self,
+        execution: _Execution,
         matches: List[Match],
-        select: Select,
-        ontology: Optional[Ontology],
         hints: Dict[str, int],
     ) -> List[_Fragment]:
-        """Group matches into equivalence sets: providers whose rewritten
-        sub-query AND advertised constraints agree are interchangeable,
-        confirmed by the broker's ``equivalence`` hint when present."""
-        fragments: Dict[tuple, _Fragment] = {}
-        for match in matches:
-            sub_select = self._rewrite_for(match, select, ontology)
+        """One single-provider fragment per usable match on the paper's
+        flow.  Under an active resilience config, equivalence sets:
+        providers whose rewritten sub-query AND advertised constraints
+        agree are interchangeable, confirmed by the broker's
+        ``equivalence`` hint when present."""
+        grouped = execution.cfg is not None
+        fragments: Dict[object, _Fragment] = {}
+        for index, match in enumerate(matches):
+            sub_select = self._rewrite_for(match, execution.select,
+                                           execution.ontology)
             if sub_select is None:
                 continue
             rendered = render_select(sub_select)
-            content = match.advertisement.description.content
-            key = (hints.get(match.agent_name), rendered,
-                   content.constraints.cache_key())
+            key: object = index
+            if grouped:
+                content = match.advertisement.description.content
+                key = (hints.get(match.agent_name), rendered,
+                       content.constraints.cache_key())
             fragment = fragments.get(key)
             if fragment is None:
-                fragment = _Fragment(
+                fragment = fragments[key] = _Fragment(
                     fragment_id=_fragment_label(sub_select),
-                    sub_select=sub_select,
                     rendered=rendered,
                     providers=[],
                     pushed_down=sub_select.where is not None,
                 )
-                fragments[key] = fragment
             fragment.providers.append(match.agent_name)
         ordered = list(fragments.values())
-        seen_ids: Dict[str, int] = {}
-        for fragment in ordered:
-            count = seen_ids.get(fragment.fragment_id, 0)
-            seen_ids[fragment.fragment_id] = count + 1
-            if count:
-                fragment.fragment_id = f"{fragment.fragment_id}#{count + 1}"
+        if grouped:
+            # Equivalence sets are told apart by name; the paper's
+            # fragments keep the shape label their same-shaped siblings
+            # share, so a shape one of them answered is not missing.
+            seen_ids: Dict[str, int] = {}
+            for fragment in ordered:
+                count = seen_ids.get(fragment.fragment_id, 0)
+                seen_ids[fragment.fragment_id] = count + 1
+                if count:
+                    fragment.fragment_id = f"{fragment.fragment_id}#{count + 1}"
         return ordered
 
     # ------------------------------------------------------------------
-    # resilient execution: executor
+    # executor
     # ------------------------------------------------------------------
-    def _execute_resilient(
-        self,
-        plan: _Plan,
-        matches: List[Match],
-        reply: Optional[KqmlMessage],
-        result: HandlerResult,
-    ) -> None:
-        cfg = self.resilience
-        hints = _parse_equivalence(
-            reply.extra("equivalence") if reply is not None else None
-        )
-        fragments = self._plan_fragments(matches, plan.select, plan.ontology, hints)
-        if not fragments:
-            result.send(
-                plan.original.reply(Performative.SORRY, content="no usable resources")
-            )
-            return
-        self._exec_counter += 1
-        execution = _Execution(
-            exec_id=self._exec_counter,
-            original=plan.original,
-            select=plan.select,
-            ontology=plan.ontology,
-            runs=[_FragmentRun(fragment=f, started=self.bus.now) for f in fragments],
-        )
-        self._executions[execution.exec_id] = execution
-        obs = self.observer
-        if obs.enabled:
-            obs.observe("mrq.fanout", float(len(fragments)))
-            obs.annotate(self.bus.now, plan.original, "mrq-fanout",
-                         resources=len(fragments), recommended=len(matches),
-                         resilient=True)
-        for index, run in enumerate(execution.runs):
-            self._send_fragment(execution, index, result)
-            if (
-                cfg.hedge
-                and not run.done
-                and len(run.fragment.providers) > 1
-            ):
-                result.arm(self._hedge_delay(),
-                           ("mrq-hedge", execution.exec_id, index))
-
-    def _ranked_candidates(self, run: _FragmentRun) -> List[str]:
+    def _ranked_candidates(
+        self, run: _FragmentRun, cfg: Optional[MrqResilienceConfig]
+    ) -> List[str]:
         """Untried providers for *run*, best first: closed breakers before
         open ones, then by health score, then broker rank."""
-        cfg = self.resilience
+        if cfg is None:
+            # The paper's flow asks a fragment's one provider once: no
+            # failover, no hedge.
+            return run.fragment.providers
         budget = cfg.max_providers_per_fragment - len(run.tried)
         if budget <= 0:
             return []
@@ -714,9 +660,9 @@ class MultiResourceQueryAgent(Agent):
         result: HandlerResult,
         hedge: bool = False,
     ) -> bool:
-        cfg = self.resilience
+        cfg = execution.cfg
         run = execution.runs[index]
-        candidates = self._ranked_candidates(run)
+        candidates = self._ranked_candidates(run, cfg)
         if not candidates:
             return False
         provider = candidates[0]
@@ -734,14 +680,16 @@ class MultiResourceQueryAgent(Agent):
             extras=ask_extras,
         )
         run.outstanding[provider] = (ask.reply_with, self.bus.now)
+        # The paper's flow keeps the agent's own reply timeout and retry
+        # budget; failover replaces retries with the next provider.
         self.ask(
             ask,
             lambda r, res, e=execution, i=index, p=provider: self._fragment_reply(
                 e, i, p, r, res
             ),
             result,
-            timeout=cfg.provider_timeout,
-            attempts=1,
+            timeout=cfg.provider_timeout if cfg is not None else None,
+            attempts=1 if cfg is not None else None,
         )
         if hedge:
             run.hedged = True
@@ -768,37 +716,42 @@ class MultiResourceQueryAgent(Agent):
             return
         _reply_id, sent_at = entry
         now = self.bus.now
-        cfg = self.resilience
+        cfg = execution.cfg
         obs = self.observer
-        health = self.provider_health.setdefault(provider, ProviderHealth())
 
         if reply is not None and reply.performative is Performative.TELL:
-            latency = now - sent_at
-            health.record_success(latency, cfg)
-            self._latency_samples.append(latency)
+            if cfg is not None:
+                latency = now - sent_at
+                self.provider_health.setdefault(
+                    provider, ProviderHealth()).record_success(latency, cfg)
+                self._latency_samples.append(latency)
             run.winner = provider
             run.answer = reply.content
+            execution.answered.append(run)
             # First reply wins: abandon the losing duplicate(s).
-            for other, (other_id, _sent) in list(run.outstanding.items()):
+            for other_id, _sent in run.outstanding.values():
                 self.cancel_ask(other_id)
                 if obs.enabled:
                     obs.inc("mrq.hedge.cancelled")
             run.outstanding.clear()
-            if run.hedged and run.tried and provider != run.tried[0] and obs.enabled:
+            if run.hedged and provider != run.tried[0] and obs.enabled:
                 obs.inc("mrq.hedge.win")
-            self._finish_run(run, now, "ok")
+            self._finish_run(execution, run, now, "ok")
             self._maybe_assemble(execution, result)
             return
 
         reason = _failure_reason(reply)
-        retry_after = reply.extra("retry-after") if reply is not None else None
-        health.record_failure(reason, now, cfg, retry_after)
+        if cfg is not None:
+            retry_after = reply.extra("retry-after") if reply is not None else None
+            self.provider_health.setdefault(provider, ProviderHealth()) \
+                .record_failure(reason, now, cfg, retry_after)
         run.failures.append((provider, reason))
-        if obs.enabled:
+        if cfg is not None and obs.enabled:
             obs.inc("mrq.provider.failure")
         if run.outstanding:
             return  # a hedge copy is still racing
-        if cfg.failover and self._send_fragment(execution, index, result):
+        if cfg is not None and cfg.failover and self._send_fragment(
+                execution, index, result):
             if obs.enabled:
                 obs.inc("mrq.failover.count")
                 obs.annotate(now, execution.original, "mrq-failover",
@@ -807,14 +760,19 @@ class MultiResourceQueryAgent(Agent):
                              next=run.tried[-1])
             return
         run.exhausted = True
-        if obs.enabled:
-            obs.inc("mrq.fragment.exhausted")
-        self._finish_run(run, now, "exhausted")
+        self._finish_run(execution, run, now, "exhausted")
         self._maybe_assemble(execution, result)
 
-    def _finish_run(self, run: _FragmentRun, now: float, status: str) -> None:
+    def _finish_run(
+        self, execution: _Execution, run: _FragmentRun, now: float, status: str
+    ) -> None:
+        """Count *run* out; per-fragment telemetry is kept where provider
+        health is."""
+        execution.running -= 1
         obs = self.observer
-        if obs.enabled:
+        if obs.enabled and execution.cfg is not None:
+            if status == "exhausted":
+                obs.inc("mrq.fragment.exhausted")
             obs.region(self.name, "mrq-fragment", run.started, now,
                        fragment=run.fragment.fragment_id, status=status,
                        provider=run.winner or "", attempts=len(run.tried))
@@ -847,158 +805,67 @@ class MultiResourceQueryAgent(Agent):
         # health is a soft cache and survives (it only biases ranking).
         self._executions.clear()
 
-    def _maybe_assemble(self, execution: _Execution, result: HandlerResult) -> None:
-        if any(not run.done for run in execution.runs):
-            return
-        if self._executions.pop(execution.exec_id, None) is None:
-            return
-        shapes, rejected = _load_shapes(
-            [(run.winner, run.answer) for run in execution.runs
-             if run.winner is not None]
-        )
-        for run in execution.runs:
-            if run.winner in rejected:
-                run.failures.append((run.winner, "sorry:schema"))
-                run.winner = None
-        results = [
-            (run.winner, run.answer)
-            for run in execution.runs
-            if run.winner is not None
-        ]
-        pushed_down = {
-            run.winner: run.fragment.pushed_down
-            for run in execution.runs
-            if run.winner is not None
-        }
-        missing = [run for run in execution.runs if run.winner is None]
-        failures = [
-            (provider, run.fragment.fragment_id, reason)
-            for run in missing
-            for provider, reason in run.failures
-        ]
-        if not results:
-            detail = _partial_detail(
-                execution.select.table,
-                [run.fragment.fragment_id for run in missing],
-                failures,
-            )
-            result.send(
-                execution.original.reply(
-                    Performative.SORRY,
-                    content="all resources failed",
-                    **{"partial-detail": detail},
-                )
-            )
-            return
-        partial_extras = {}
-        if missing:
-            missing_ids = [run.fragment.fragment_id for run in missing]
-            partial_extras = {
-                "partial": "missing:" + ",".join(sorted(missing_ids)),
-                "partial-detail": _partial_detail(
-                    execution.select.table, missing_ids, failures
-                ),
-            }
-        self._assemble_answer(
-            execution.original,
-            execution.select,
-            execution.ontology,
-            results,
-            shapes,
-            pushed_down,
-            partial_extras,
-            result,
-        )
-
     # ------------------------------------------------------------------
     # assembly
     # ------------------------------------------------------------------
-    def _collect(
-        self, plan: _Plan, resource: str, reply: Optional[KqmlMessage], result: HandlerResult
-    ) -> None:
-        if reply is not None and reply.performative is Performative.TELL:
-            plan.results.append((resource, reply.content))
-        else:
-            plan.failures.append((resource, _failure_reason(reply)))
-        plan.outstanding -= 1
-        if plan.outstanding == 0:
-            self._assemble(plan, result)
-
-    def _assemble(self, plan: _Plan, result: HandlerResult) -> None:
-        shapes, rejected = _load_shapes(plan.results)
-        if rejected:
-            plan.failures.extend((name, "sorry:schema") for name in rejected)
-            plan.results = [
-                (name, reply) for name, reply in plan.results
-                if name not in rejected
-            ]
-        if not plan.results:
-            extras = {}
-            if plan.failures:
-                failures = [
-                    (name, plan.fragment_ids.get(name, "?"), reason)
-                    for name, reason in sorted(plan.failures)
-                ]
-                missing_ids = sorted({fid for _, fid, _ in failures})
-                extras["partial-detail"] = _partial_detail(
-                    plan.select.table, missing_ids, failures
-                )
-            result.send(
-                plan.original.reply(
-                    Performative.SORRY, content="all resources failed", **extras
-                )
-            )
+    def _maybe_assemble(self, execution: _Execution, result: HandlerResult) -> None:
+        """Once every fragment is answered or exhausted: combine the
+        answers into the extent, answer the query over it, and flag
+        what is missing."""
+        if execution.running:
             return
-
-        partial_extras = {}
-        if plan.failures:
-            # Honest partial answers: a resource that never replied may
-            # hold rows nobody else returned, so the answer is flagged
-            # even when a same-shaped sibling succeeded.  The detail
-            # distinguishes fragment shapes with no surviving provider.
-            succeeded_ids = {
-                plan.fragment_ids.get(name) for name, _ in plan.results
-            }
-            failures = [
-                (name, plan.fragment_ids.get(name, "?"), reason)
-                for name, reason in sorted(plan.failures)
-            ]
-            missing_ids = sorted(
-                {fid for _, fid, _ in failures} - succeeded_ids
+        if self._executions.pop(execution.exec_id, None) is None:
+            return
+        original, select, cfg = execution.original, execution.select, execution.cfg
+        # The paper's flow combines answers as they arrived; equivalence
+        # sets combine in plan order, so a ``select *`` keeps one column
+        # order whichever replica wins a race.
+        answered = (
+            execution.answered if cfg is None
+            else [run for run in execution.runs if run.winner is not None]
+        )
+        shapes, rejected = _load_shapes(
+            [(run.winner, run.answer) for run in answered])
+        for run in answered:
+            if run.winner in rejected:
+                run.failures.append((run.winner, "sorry:schema"))
+                run.winner = None
+        answered = [run for run in answered if run.winner is not None]
+        missing = [run for run in execution.runs if run.winner is None]
+        partial_extras: Dict[str, object] = {}
+        if missing:
+            # An equivalence set is named by its fragment; the paper's
+            # flow names the providers it lost.  One of its fragments
+            # whose shape a sibling answered may still hold rows nobody
+            # else returned, so the answer is flagged, but the detail
+            # lists only shapes with no surviving reply.
+            names = (
+                run.fragment.fragment_id if cfg is not None else run.tried[0]
+                for run in missing
+            )
+            failures = sorted(
+                (provider, run.fragment.fragment_id, reason)
+                for run in missing
+                for provider, reason in run.failures
             )
             partial_extras = {
-                "partial": "missing:" + ",".join(
-                    sorted(name for name, _ in plan.failures)
-                ),
+                "partial": "missing:" + ",".join(sorted(names)),
                 "partial-detail": _partial_detail(
-                    plan.select.table, missing_ids, failures
+                    select.table,
+                    {run.fragment.fragment_id for run in missing}
+                    - {run.fragment.fragment_id for run in answered},
+                    failures,
                 ),
             }
-        self._assemble_answer(
-            plan.original,
-            plan.select,
-            plan.ontology,
-            plan.results,
-            shapes,
-            plan.pushed_down,
-            partial_extras,
-            result,
-        )
+        if not answered:
+            # Every fragment failed; the detail says what was lost.
+            result.send(original.reply(
+                Performative.SORRY, content="all resources failed",
+                **{"partial-detail": partial_extras["partial-detail"]}))
+            return
+        results = [run.answer for run in answered]
 
-    def _assemble_answer(
-        self,
-        original: KqmlMessage,
-        select: Select,
-        ontology: Optional[Ontology],
-        results: List[Tuple[str, QueryResult]],
-        shapes: List[Table],
-        pushed_down: Dict[str, bool],
-        partial_extras: Dict[str, object],
-        result: HandlerResult,
-    ) -> None:
-        """Combine *shapes* (the loaded *results*, see ``_load_shapes``)
-        into the extent and answer *select* over it."""
-        key = self._query_key(select, ontology)
+        key = self._query_key(select, execution.ontology)
         if len(shapes) == 1:
             assembled = shapes[0]
         elif key is not None and all(key in t.schema for t in shapes):
@@ -1007,7 +874,7 @@ class MultiResourceQueryAgent(Agent):
             assembled = union_all(shapes, name="assembled")
 
         where = select.where
-        if where is not None and all(pushed_down.values()):
+        if where is not None and all(run.fragment.pushed_down for run in answered):
             where = None  # every resource already applied it
         order = select.order_by
         if order is not None and order.column not in assembled.schema:
@@ -1015,8 +882,8 @@ class MultiResourceQueryAgent(Agent):
         columns = tuple(select.columns or assembled.schema.names)
         rows = select_rows(assembled, columns, where, order, select.limit)
         final = QueryResult(columns=columns, rows=rows,
-                            rows_scanned=sum(qr.rows_scanned for _, qr in results))
-        total_bytes = sum(qr.bytes_returned for _, qr in results)
+                            rows_scanned=sum(qr.rows_scanned for qr in results))
+        total_bytes = sum(qr.bytes_returned for qr in results)
 
         result.cost_seconds += self.cost_model.resource_query_seconds(
             total_bytes / 1_000_000.0
@@ -1028,7 +895,7 @@ class MultiResourceQueryAgent(Agent):
             if partial_extras:
                 obs.inc("mrq.partial.count")
                 obs.annotate(self.bus.now, original, "mrq-partial",
-                             missing=partial_extras.get("partial", ""))
+                             missing=partial_extras["partial"])
         result.send(
             original.reply(Performative.TELL, content=final, **partial_extras),
             size_bytes=max(final.bytes_returned, self.cost_model.control_message_bytes),
@@ -1072,7 +939,7 @@ def _parse_equivalence(value: object) -> Dict[str, int]:
 
 def _partial_detail(
     class_name: str,
-    missing_fragments: Sequence[str],
+    missing_fragments: Iterable[str],
     failures: Sequence[Tuple[str, str, str]],
 ) -> Dict[str, object]:
     """The machine-readable payload behind a ``:partial`` annotation."""

@@ -120,13 +120,6 @@ class UserAgent(Agent):
             timeout=self.query_timeout,
         )
 
-    def _pick_broker(self) -> Optional[str]:
-        if self.connected_broker_list:
-            return self.connected_broker_list[0]
-        if self.known_broker_list:
-            return self.known_broker_list[0]
-        return None
-
     def _mrq_found(
         self,
         sql: str,

@@ -522,8 +522,9 @@ def _run_load(shape: Optional[str], metrics_path: Optional[str], full: bool,
 # MRQ resilience scenarios (``python -m repro mrq-chaos <scenario>``)
 # ----------------------------------------------------------------------
 #: (loss, partition seconds, churn, protected) per named scenario.
-#: ``unprotected`` is the same chaos as ``harsh`` with the legacy
-#: query-every-match fan-out, for an A/B comparison.
+#: ``unprotected`` is the same chaos as ``harsh`` with no resilience
+#: config, so the MRQ plans the paper's query-every-match fragments (one
+#: per recommended resource, never failed over), for an A/B comparison.
 MRQ_CHAOS_SCENARIOS: Dict[str, tuple] = {
     "calm": (0.0, 0.0, False, True),
     "lossy": (0.2, 0.0, False, True),

@@ -358,19 +358,6 @@ class ColumnarPlane:
         #: Advertised response time (-inf = unadvertised, passes any cap).
         self._response_time = array("d")
 
-    @classmethod
-    def compile(
-        cls,
-        advertisements: Iterable[Advertisement],
-        fetch: Callable[[str], Advertisement],
-    ) -> "ColumnarPlane":
-        """A plane loaded with *advertisements* (ids in iteration
-        order) that fetches survivors through *fetch*."""
-        plane = cls(fetch)
-        for ad in advertisements:
-            plane.add(ad)
-        return plane
-
     def __len__(self) -> int:
         return len(self._ids)
 

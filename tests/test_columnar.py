@@ -390,7 +390,9 @@ def test_plane_posting_prefix_sharing():
         ontologies={name: pair[0] for name, pair in ontologies.items()}
     )
     ads = [edge_ad(rng, f"agent-{i}", ontologies) for i in range(12)]
-    plane = ColumnarPlane.compile(ads, {ad.agent_name: ad for ad in ads}.get)
+    plane = ColumnarPlane({ad.agent_name: ad for ad in ads}.get)
+    for ad in ads:
+        plane.add(ad)
     q1 = BrokerQuery(ontology_name="healthcare",
                      constraints=parse_constraint("age > 10"))
     q2 = BrokerQuery(ontology_name="healthcare",

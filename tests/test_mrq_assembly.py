@@ -23,7 +23,13 @@ from repro.agents import (
     UserAgent,
 )
 from repro.agents.base import HandlerResult
-from repro.agents.mrq import MrqResilienceConfig, _load_shapes, _Plan
+from repro.agents.mrq import (
+    MrqResilienceConfig,
+    _Execution,
+    _Fragment,
+    _FragmentRun,
+    _load_shapes,
+)
 from repro.constraints import parse_constraint
 from repro.core.matcher import MatchContext
 from repro.kqml import KqmlMessage, Performative
@@ -153,15 +159,22 @@ def agent_assemble(results, sql, pushed_down):
     bus = MessageBus()
     mrq = MultiResourceQueryAgent("mrq", "t", ontology=ONTOLOGY)
     bus.register(mrq)
-    plan = _Plan(
+    runs = [
+        _FragmentRun(
+            fragment=_Fragment(f"C[{name}]", sql, [name],
+                               pushed_down.get(name, True)),
+            tried=[name], winner=name, answer=reply)
+        for name, reply in results
+    ]
+    execution = _Execution(
         original=KqmlMessage(Performative.ASK_ALL, sender="user",
                              receiver="mrq", content=sql),
-        select=parse_select(sql), ontology=ONTOLOGY,
-        pushed_down=dict(pushed_down), results=list(results),
-        fragment_ids={name: f"C[{name}]" for name, _ in results},
+        select=parse_select(sql), ontology=ONTOLOGY, brokers_tried=(),
+        exec_id=1, runs=runs, answered=list(runs),
     )
+    mrq._executions[execution.exec_id] = execution
     outcome = HandlerResult()
-    mrq._assemble(plan, outcome)
+    mrq._maybe_assemble(execution, outcome)
     (reply, _size), = outcome.outbox
     return reply
 

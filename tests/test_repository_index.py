@@ -526,7 +526,9 @@ class MaintainedPlaneMachine(RuleBasedStateMachine):
         assert ranked(repo.query(query)) == expected
         assert ranked(repo.query(query)) == expected  # now from the cache
         assert ranked(plane.match(query, repo.context)[0]) == expected
-        fresh = ColumnarPlane.compile(repo.agent_ads(), repo.get)
+        fresh = ColumnarPlane(repo.get)
+        for ad in repo.agent_ads():
+            fresh.add(ad)
         assert ranked(fresh.match(query, repo.context)[0]) == expected
         assert DatalogMatcher(repo.context).match_names(query, ads) == {
             name for name, _score, _slots in expected}
